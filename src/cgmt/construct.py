@@ -28,12 +28,14 @@ from .core import BudgetExceeded, CgmtError, check_bits, compatible
 from .measure import MeasureBracket, PreconditionMeasure, htilde
 from .trees import (
     BlockMarking,
+    Condition2Violation,
     NotExtendible,
     SubtreeCodePrefix,
     TreeSource,
     code_of_levels,
+    leftmost_extension_path,
 )
-from .weights import AlgebraicWeight, string_weight
+from .weights import AlgebraicWeight, as_weight, cylinder_weight
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
@@ -67,30 +69,20 @@ class PromiseViolated(CgmtError):
         self.cap = cap
 
 
-def _as_weight(x) -> AlgebraicWeight:
-    if isinstance(x, AlgebraicWeight):
-        return x
-    return AlgebraicWeight.from_rational(Fraction(x))
-
-
-def _pw(s: Fraction, length: int) -> AlgebraicWeight:
-    return string_weight(s.numerator, s.denominator, length)
-
-
 # -- piecewise codes ----------------------------------------------------------------
 
 
 class PiecewiseCode:
     """Subtree code kept explicit through a working depth, ambient-backed above.
 
-    Levels 0..live_depth are explicit marked sets.  A longer string is marked
-    iff its length-live_depth prefix is marked and the ambient source accepts
-    it, so deep blocks can be materialized on demand without ever having been
-    written down.  Instances are immutable by convention; refinement steps
-    build new ones.
+    The explicit part is a BlockMarking through the working depth
+    live_depth.  A longer string is marked iff its length-live_depth prefix
+    is marked and the ambient source accepts it, so deep blocks can be
+    materialized on demand without ever having been written down.
+    Instances are immutable by convention; refinement steps build new ones.
     """
 
-    __slots__ = ("source", "live_depth", "levels", "restriction", "_tails")
+    __slots__ = ("source", "explicit", "_tails")
 
     def __init__(
         self,
@@ -99,22 +91,24 @@ class PiecewiseCode:
         levels: Sequence[frozenset[str]],
         restriction: bool = False,
     ):
-        levels = tuple(frozenset(level) for level in levels)
-        if live_depth < 0 or len(levels) != live_depth + 1:
-            raise CgmtError("explicit levels do not match the working depth")
-        for length, level in enumerate(levels):
+        if live_depth < 0:
+            raise CgmtError(f"negative working depth {live_depth}")
+        explicit = BlockMarking(live_depth, levels, restriction=restriction)
+        for level in explicit.levels:
             for t in level:
-                if len(t) != length:
-                    raise CgmtError(f"mark {t!r} filed under length {length}")
-                if length and t[:-1] not in levels[length - 1]:
-                    raise CgmtError(f"marks are not prefix-closed at {t!r}")
                 if not source.member(t):
-                    raise CgmtError(f"mark {t!r} lies outside the ambient tree")
+                    raise Condition2Violation(t)
         self.source = source
-        self.live_depth = live_depth
-        self.levels = levels
-        self.restriction = restriction
-        self._tails: list[frozenset[str]] = [levels[live_depth]]
+        self.explicit = explicit
+        self._tails: list[frozenset[str]] = [explicit.levels[live_depth]]
+
+    @property
+    def live_depth(self) -> int:
+        return self.explicit.block
+
+    @property
+    def restriction(self) -> bool:
+        return self.explicit.restriction
 
     @classmethod
     def root_of(cls, source: TreeSource) -> "PiecewiseCode":
@@ -124,14 +118,14 @@ class PiecewiseCode:
         return cls(source, 0, (frozenset({""}),))
 
     def top(self) -> frozenset[str]:
-        return self.levels[self.live_depth]
+        return self.explicit.levels[self.live_depth]
 
     def level(self, length: int) -> frozenset[str]:
         """Marked strings of one length, materializing the tail if needed."""
         if length < 0:
             raise CgmtError(f"negative length {length}")
         if length <= self.live_depth:
-            return self.levels[length]
+            return self.explicit.levels[length]
         member = self.source.member
         while len(self._tails) <= length - self.live_depth:
             last = self._tails[-1]
@@ -143,10 +137,8 @@ class PiecewiseCode:
     def marked(self, sigma: str) -> bool:
         length = len(sigma)
         if length <= self.live_depth:
-            return sigma in self.levels[length]
-        return sigma[: self.live_depth] in self.levels[self.live_depth] and self.source.member(
-            sigma
-        )
+            return sigma in self.explicit.levels[length]
+        return sigma[: self.live_depth] in self.top() and self.source.member(sigma)
 
     def marking(self, block: int) -> BlockMarking:
         levels = tuple(self.level(length) for length in range(block + 1))
@@ -156,16 +148,13 @@ class PiecewiseCode:
 
     def restricted(self, tau: str) -> "PiecewiseCode":
         """Marks compatible with tau, as a code over the restricted ambient."""
-        check_bits(tau)
+        explicit = self.explicit.restrict(tau)
         member = self.source.member
         src = TreeSource(
             member=lambda s, _t=tau: compatible(s, _t) and member(s),
             name=f"{self.source.name}|{tau or 'root'}",
         )
-        levels = tuple(
-            frozenset(t for t in level if compatible(t, tau)) for level in self.levels
-        )
-        return PiecewiseCode(src, self.live_depth, levels, restriction=True)
+        return PiecewiseCode(src, self.live_depth, explicit.levels, restriction=True)
 
     def to_code_prefix(self, block: Optional[int] = None) -> SubtreeCodePrefix:
         if block is None:
@@ -256,8 +245,8 @@ def interpolate_subset(
         raise CgmtError(f"granularity must be nonnegative, got {n}")
     if window < 0:
         raise CgmtError(f"window must be nonnegative, got {window}")
-    c_w = _as_weight(c)
-    eps_w = _as_weight(eps)
+    c_w = as_weight(c)
+    eps_w = as_weight(eps)
     if eps_w.sign() <= 0:
         raise CgmtError("eps must be positive")
     if c_w.sign() < 0:
@@ -274,7 +263,9 @@ def interpolate_subset(
         raise PreconditionMeasure("the ambient code is dead at the requested prefix")
     bound = c_w + eps_w
     top_cap = n_prime
-    while not (_pw(s, top_cap) < eps_w and _pw(s, top_cap) * len(roots) < bound):
+    while not (
+        cylinder_weight(s, top_cap) < eps_w and cylinder_weight(s, top_cap) * len(roots) < bound
+    ):
         top_cap += 1
     for m in range(n_prime, top_cap + 1):
         found = _probe(zc, n_prime, m, s, n, c_w, eps_w, window, budget)
@@ -297,22 +288,14 @@ def _interpolate_above_zero(
     half = eps_w * _HALF
     spread = max(len(zc.level(n_prime)), 1)
     probe_block = n_prime
-    while not (_pw(s, probe_block) * spread < half):
+    while not (cylinder_weight(s, probe_block) * spread < half):
         probe_block += 1
     deep = probe_block + window
     value = htilde(_marking_within_budget(zc, deep, budget), s, n, want_witness=False).value
     if value.is_zero():
         marking = _marking_within_budget(zc, deep + window, budget)
         values = tuple(
-            (
-                k,
-                htilde(
-                    BlockMarking(k, marking.levels[: k + 1], restriction=True),
-                    s,
-                    n,
-                    want_witness=False,
-                ).value,
-            )
+            (k, htilde(marking.cut(k), s, n, want_witness=False).value)
             for k in range(deep, deep + window + 1)
         )
         zero = AlgebraicWeight.zero()
@@ -461,7 +444,7 @@ def thin_test(
         raise CgmtError(f"branch must have length {n}, got {tau!r}")
     zc = _as_code(z)
     value = htilde(zc.restricted(tau).marking(depth), s, n + 1, want_witness=False).value
-    return value <= _pw(Fraction(s), n) + _as_weight(theta)
+    return value <= cylinder_weight(Fraction(s), n) + as_weight(theta)
 
 
 def thinify(
@@ -488,9 +471,9 @@ def thinify(
     if s_frac <= 0:
         raise PreconditionMeasure("thinning needs s > 0")
     floor = _resolve_prefix(zc, nu, enforce_floor=False)
-    theta_w = _as_weight(theta)
-    c_w = _as_weight(c)
-    baseline = _pw(s_frac, n)
+    theta_w = as_weight(theta)
+    c_w = as_weight(c)
+    baseline = cylinder_weight(s_frac, n)
     threshold = baseline + theta_w
 
     current = zc
@@ -548,13 +531,13 @@ def thinify(
 class RefinementCertificate:
     """Snapshot of one pipeline stage, re-checkable by htilde alone.
 
-    levels holds the marked strings per length out to the deepest checked
+    marks holds the marked strings per length out to the deepest checked
     block, so both verdicts can be recomputed from the certificate itself.
     """
 
     stage: int
     dimension: Fraction
-    levels: tuple[tuple[str, ...], ...]
+    marks: BlockMarking
     lower_granularity: int
     lower_target: AlgebraicWeight
     lower_checks: tuple[tuple[int, AlgebraicWeight], ...]
@@ -564,11 +547,9 @@ class RefinementCertificate:
     theta: AlgebraicWeight
 
     def marking(self, block: int) -> BlockMarking:
-        if block >= len(self.levels):
+        if block > self.marks.block:
             raise CgmtError("certificate records levels only to its checked depth")
-        return BlockMarking(
-            block, tuple(frozenset(level) for level in self.levels[: block + 1])
-        )
+        return self.marks.cut(block)
 
     def verify(self) -> bool:
         """Recompute both verdicts from the recorded levels."""
@@ -610,7 +591,7 @@ def besicovitch_extract(
     if n0 < 0:
         raise CgmtError(f"base granularity must be nonnegative, got {n0}")
     s_frac = Fraction(s)
-    c_w = _as_weight(c)
+    c_w = as_weight(c)
     margin = AlgebraicWeight.two_power(-stages)  # the final-stage gap to c
 
     code = PiecewiseCode.root_of(ambient)
@@ -645,7 +626,7 @@ def besicovitch_extract(
             RefinementCertificate(
                 stage=n + 1,
                 dimension=s_frac,
-                levels=tuple(tuple(sorted(current.level(length))) for length in range(deep + 1)),
+                marks=current.marking(deep),
                 lower_granularity=n0,
                 lower_target=c_w,
                 lower_checks=((deep, thin_cert.floor_value),),
@@ -688,7 +669,7 @@ class DensityTarget:
     @staticmethod
     def geometric(alpha, stages: int) -> "DensityTarget":
         return DensityTarget(
-            _as_weight(alpha),
+            as_weight(alpha),
             tuple(AlgebraicWeight.two_power(-j) for j in range(stages)),
         )
 
@@ -712,18 +693,6 @@ def _extensions(stem: str, extendible: Callable[[str], bool], include_stem: bool
                     yield child
                     grown.append(child)
         frontier = grown
-
-
-def _leftmost_from(stem: str, extendible: Callable[[str], bool], depth: int) -> str:
-    path = stem
-    while len(path) < depth:
-        if extendible(path + "0"):
-            path += "0"
-        elif extendible(path + "1"):
-            path += "1"
-        else:
-            raise NotExtendible(f"dead end at {path!r}")
-    return path
 
 
 def baire_intersect(
@@ -761,7 +730,7 @@ def baire_intersect(
         stem = found
     if len(stem) > depth:
         raise CgmtError(f"constructed stem is longer than the requested depth {depth}")
-    return _leftmost_from(stem, extendible, depth)
+    return leftmost_extension_path(src, stem).prefix(depth)
 
 
 def dense_monotone_min(
@@ -795,7 +764,7 @@ def dense_monotone_min(
                 and answer.startswith(stem)
                 and extendible(answer)
             ):
-                value = _as_weight(f.eval(answer))
+                value = as_weight(f.eval(answer))
                 if value < bound:
                     found = (answer, value)
             if found is None:
@@ -806,7 +775,7 @@ def dense_monotone_min(
                 tested += 1
                 if tested > cap:
                     raise DensityViolated(stage, cap)
-                value = _as_weight(f.eval(candidate))
+                value = as_weight(f.eval(candidate))
                 if value < bound:
                     found = (candidate, value)
                     break
@@ -817,7 +786,7 @@ def dense_monotone_min(
             raise CgmtError("callback value increased along the chain; not monotone")
         previous = value
         records.append((stage, eps, stem, value))
-    path = _leftmost_from(stem, extendible, depth)
+    path = leftmost_extension_path(src, stem).prefix(max(depth, len(stem)))
     return path, DensityCertificate(alpha=target.alpha, records=tuple(records))
 
 

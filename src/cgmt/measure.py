@@ -19,19 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .core import BudgetExceeded, CgmtError
 from .trees import (
     BlockMarking,
     SubtreeCodePrefix,
     TreeSource,
-    TruncatedTree,
-    levels_of_source,
+    marking_of_source,
+    prefix_closure,
 )
-from .weights import AlgebraicWeight, string_weight
-
-Markable = Union[BlockMarking, SubtreeCodePrefix]
+from .weights import AlgebraicWeight, as_weight, cylinder_weight
 
 CASE2_WITNESS_CAP = 12
 DEFAULT_ENUM_BUDGET = 500_000
@@ -99,24 +97,6 @@ def _exponent(s) -> Fraction:
     return s
 
 
-def _weight(x) -> AlgebraicWeight:
-    if isinstance(x, AlgebraicWeight):
-        return x
-    return AlgebraicWeight.from_rational(Fraction(x))
-
-
-def _as_marking(nu: Markable) -> BlockMarking:
-    if isinstance(nu, BlockMarking):
-        return nu
-    if isinstance(nu, SubtreeCodePrefix):
-        return nu.marking()
-    raise CgmtError(f"not a marking: {nu!r}")
-
-
-def _w(s: Fraction, length: int) -> AlgebraicWeight:
-    return string_weight(s.numerator, s.denominator, length)
-
-
 def cover_weight(strings: Iterable[str], s) -> AlgebraicWeight:
     """Total s-weight sum of 2^(-s*|sigma|) over the given strings."""
     s = _exponent(s)
@@ -125,7 +105,7 @@ def cover_weight(strings: Iterable[str], s) -> AlgebraicWeight:
         by_length[len(sigma)] = by_length.get(len(sigma), 0) + 1
     total = AlgebraicWeight.zero()
     for length, count in sorted(by_length.items()):
-        total = total + _w(s, length) * count
+        total = total + cylinder_weight(s, length) * count
     return total
 
 
@@ -138,9 +118,8 @@ def _case2(s: Fraction, n: int, at_block: int) -> MeasureValue:
     return MeasureValue(value, witness, at_block)
 
 
-def htilde(nu: Markable, s, n: int, want_witness: bool = True) -> MeasureValue:
+def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> MeasureValue:
     """Exact min-weight cover value of the marking at dimension s, granularity n."""
-    marking = _as_marking(nu)
     s = _exponent(s)
     if n < 0:
         raise CgmtError(f"granularity must be nonnegative, got {n}")
@@ -151,15 +130,11 @@ def htilde(nu: Markable, s, n: int, want_witness: bool = True) -> MeasureValue:
     if not top:
         return MeasureValue(AlgebraicWeight.zero(), CoverSet(frozenset(), n, m), m)
 
-    live: list[set[str]] = [set() for _ in range(m + 1)]
-    live[m] = set(top)
-    for length in range(m, 0, -1):
-        live[length - 1] = {sigma[:-1] for sigma in live[length]}
-
-    value_at: dict[str, AlgebraicWeight] = {sigma: _w(s, m) for sigma in live[m]}
+    live = prefix_closure(top, m)
+    value_at: dict[str, AlgebraicWeight] = {sigma: cylinder_weight(s, m) for sigma in live[m]}
     take_here: dict[str, bool] = {}
     for length in range(m - 1, -1, -1):
-        here = _w(s, length)
+        here = cylinder_weight(s, length)
         for sigma in live[length]:
             total = None
             for child in (sigma + "0", sigma + "1"):
@@ -193,13 +168,12 @@ def htilde(nu: Markable, s, n: int, want_witness: bool = True) -> MeasureValue:
 # -- independent brute-force oracle ---------------------------------------------
 
 
-def count_covers(nu: Markable, n: int) -> int:
+def count_covers(marking: BlockMarking, n: int) -> int:
     """Number of covers the literal enumeration would visit."""
-    marking = _as_marking(nu)
     m = marking.block
     if m < n or not marking.marked_at(m):
         return 1
-    live = _live_sets(marking)
+    live = prefix_closure(marking.marked_at(m), m)
 
     def count(sigma: str) -> int:
         if len(sigma) == m:
@@ -213,17 +187,8 @@ def count_covers(nu: Markable, n: int) -> int:
     return count("")
 
 
-def _live_sets(marking: BlockMarking) -> list[set[str]]:
-    m = marking.block
-    live: list[set[str]] = [set() for _ in range(m + 1)]
-    live[m] = set(marking.marked_at(m))
-    for length in range(m, 0, -1):
-        live[length - 1] = {sigma[:-1] for sigma in live[length]}
-    return live
-
-
 def htilde_bruteforce(
-    nu: Markable, s, n: int, budget: int = DEFAULT_ENUM_BUDGET
+    marking: BlockMarking, s, n: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> MeasureValue:
     """Literal minimum over every cover; independent of the dynamic program.
 
@@ -232,7 +197,6 @@ def htilde_bruteforce(
     cover; the witness is the first cover in enumeration order of least
     weight.
     """
-    marking = _as_marking(nu)
     s = _exponent(s)
     m = marking.block
     if m > 7:
@@ -243,14 +207,14 @@ def htilde_bruteforce(
         level = [format(v, f"0{n}b") if n else "" for v in range(1 << n)]
         total = AlgebraicWeight.zero()
         for _ in level:
-            total = total + _w(s, n)
+            total = total + cylinder_weight(s, n)
         return MeasureValue(total, CoverSet(frozenset(level), n, n), m)
     top = marking.marked_at(m)
     if not top:
         return MeasureValue(AlgebraicWeight.zero(), CoverSet(frozenset(), n, m), m)
     if count_covers(marking, n) > budget:
         raise BudgetExceeded(f"more than {budget} covers to enumerate")
-    live = _live_sets(marking)
+    live = prefix_closure(marking.marked_at(m), m)
 
     def covers(sigma: str):
         if len(sigma) == m:
@@ -286,24 +250,8 @@ def htilde_bruteforce(
 # -- cover checking ---------------------------------------------------------------
 
 
-def verify_delta_cover(cover: CoverSet, t: TruncatedTree, n: int, s) -> AlgebraicWeight:
-    """Check the cover is a 2^{-n}-cover of the truncation's deepest level."""
-    for sigma in sorted(cover.strings):
-        if len(sigma) < n:
-            raise LengthViolation(sigma)
-    by_length: dict[int, set[str]] = {}
-    for sigma in cover.strings:
-        by_length.setdefault(len(sigma), set()).add(sigma)
-    lengths = sorted(by_length)
-    for deep in t.level_strings(t.depth):
-        if not any(deep[:length] in by_length[length] for length in lengths if length <= len(deep)):
-            raise NotACover(deep)
-    return cover_weight(cover.strings, s)
-
-
-def verify_marking_cover(cover: CoverSet, nu: Markable, n: int, s) -> AlgebraicWeight:
-    """Check the cover reaches every deepest-level mark of the marking."""
-    marking = _as_marking(nu)
+def verify_marking_cover(cover: CoverSet, marking: BlockMarking, n: int, s) -> AlgebraicWeight:
+    """Check the cover is a 2^{-n}-cover of the marking's deepest level."""
     for sigma in sorted(cover.strings):
         if len(sigma) < n:
             raise LengthViolation(sigma)
@@ -317,32 +265,14 @@ def verify_marking_cover(cover: CoverSet, nu: Markable, n: int, s) -> AlgebraicW
 # -- sequences and comparison -------------------------------------------------------
 
 
-def marking_of_source(src: TreeSource, block: int, budget: Optional[int] = None) -> BlockMarking:
-    """Canonical marking of the tree itself through the given block."""
-    levels = levels_of_source(src, block, budget)
-    return BlockMarking(
-        block,
-        tuple(frozenset(level) for level in levels),
-        restriction=any(not level for level in levels),
-    )
-
-
 def measure_sequence(src: TreeSource, s, n: int, blocks: list[int]) -> list[MeasureValue]:
     """htilde of the tree's own code at each requested block (blocks increasing)."""
     if list(blocks) != sorted(set(blocks)):
         raise CgmtError("blocks must be strictly increasing")
     if not blocks:
         return []
-    levels = levels_of_source(src, max(blocks), budget=None)
-    out = []
-    for b in blocks:
-        marking = BlockMarking(
-            b,
-            tuple(frozenset(level) for level in levels[: b + 1]),
-            restriction=any(not level for level in levels[: b + 1]),
-        )
-        out.append(htilde(marking, s, n))
-    return out
+    marking = marking_of_source(src, max(blocks))
+    return [htilde(marking.cut(b), s, n) for b in blocks]
 
 
 @dataclass(frozen=True)
@@ -367,7 +297,7 @@ def _block_values(z, s, n: int, horizon: int) -> list[AlgebraicWeight]:
 
 def compare_measures(z_left, z_right, s, n: int, eps, horizon: int) -> ComparisonReport:
     """Find one left block whose value undercuts every right block within eps."""
-    eps_w = _weight(eps)
+    eps_w = as_weight(eps)
     left = _block_values(z_left, s, n, horizon)
     right = _block_values(z_right, s, n, horizon)
     bar = min(right)

@@ -20,6 +20,7 @@ from typing import Optional
 from . import __version__
 from .core import CgmtError
 from .weights import AlgebraicWeight
+from .trees import BlockMarking
 from .measure import MeasureBracket, MeasureValue
 from .construct import (
     InterpolationResult,
@@ -115,7 +116,7 @@ def certificate_obj(cert: RefinementCertificate) -> dict:
     return {
         "stage": cert.stage,
         "dimension": fraction_str(cert.dimension),
-        "levels": [sorted(level) for level in cert.levels],
+        "levels": [sorted(level) for level in cert.marks.levels],
         "lower": {
             "granularity": cert.lower_granularity,
             "target": weight_obj(cert.lower_target),
@@ -138,7 +139,7 @@ def certificate_from_obj(obj: dict) -> RefinementCertificate:
         return RefinementCertificate(
             stage=int(obj["stage"]),
             dimension=Fraction(obj["dimension"]),
-            levels=tuple(tuple(level) for level in obj["levels"]),
+            marks=BlockMarking(len(obj["levels"]) - 1, obj["levels"]),
             lower_granularity=int(obj["lower"]["granularity"]),
             lower_target=weight_from_obj(obj["lower"]["target"]),
             lower_checks=tuple(

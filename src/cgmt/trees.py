@@ -3,8 +3,9 @@
 A closed subset of Cantor space is presented as a TreeSource: a pure
 membership callback on its tree of finite prefixes, optionally with an
 extendibility callback (does the node lie on an infinite path) and a
-closed-form per-level count.  Finite truncations are stored as per-level
-bitmaps.
+closed-form per-level count.  Every finite tree in memory is a
+BlockMarking: one frozenset of marked strings per length, whose
+constructor is the one place a finite tree's shape is checked.
 
 Subset candidates inside an ambient tree are bit-string codes over the
 length-lex enumeration.  validate_code checks the marking discipline:
@@ -40,15 +41,21 @@ class NotExtendible(CgmtError):
 class CodeViolation(CgmtError):
     """A code prefix violates the marking discipline.
 
-    condition: 1 prefix-closure, 2 ambient membership, 3 level coverage,
-    4 pruned child condition.  witness: offending string (or block level
-    rendered as a decimal string, for condition 3).
+    condition: 0 shape (level count, binary marks of their level's
+    length), 1 prefix-closure, 2 ambient membership, 3 level coverage,
+    4 pruned child condition.  witness: offending mark (or block level
+    rendered as a decimal string, for conditions 0 and 3).
     """
 
     def __init__(self, condition: int, witness: str, detail: str):
         super().__init__(f"condition ({condition}) violated at {witness!r}: {detail}")
         self.condition = condition
         self.witness = witness
+
+
+class ShapeViolation(CodeViolation):
+    def __init__(self, witness, detail: str):
+        super().__init__(0, str(witness), detail)
 
 
 class Condition1Violation(CodeViolation):
@@ -184,129 +191,19 @@ def levels_of_source(
     return levels
 
 
-# -- truncations ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncatedTree:
-    """Tree cut at a fixed depth, one bitmap per level (bit j = lex rank j)."""
-
-    depth: int
-    levels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.levels) != self.depth + 1:
-            raise CgmtError("level count does not match depth")
-        for length, bits in enumerate(self.levels):
-            if bits < 0 or bits >> (1 << length):
-                raise CgmtError(f"level {length} bitmap out of range")
-        for length in range(1, self.depth + 1):
-            if self.levels[length] and _fold_children(self.levels[length], length) & ~self.levels[length - 1]:
-                raise CgmtError(f"not prefix-closed at level {length}")
-
-    @staticmethod
-    def from_strings(strings: Iterable[str], depth: int) -> "TruncatedTree":
-        """Collect the strings (cut at depth) and all their initial segments."""
-        levels = [0] * (depth + 1)
-        for s in strings:
-            check_bits(s)
-            s = s[:depth]
-            for length in range(len(s) + 1):
-                levels[length] |= 1 << _rank(s[:length])
-        return TruncatedTree(depth, tuple(levels))
-
-    @staticmethod
-    def from_source(src: TreeSource, depth: int, budget: Optional[int] = None) -> "TruncatedTree":
-        levels = levels_of_source(src, depth, budget)
-        return TruncatedTree(depth, tuple(_bitmap(level) for level in levels))
-
-    @staticmethod
-    def full(depth: int) -> "TruncatedTree":
-        return TruncatedTree(depth, tuple((1 << (1 << L)) - 1 for L in range(depth + 1)))
-
-    def member(self, s: str) -> bool:
-        check_bits(s)
-        if len(s) > self.depth:
-            return False
-        return bool(self.levels[len(s)] >> _rank(s) & 1)
-
-    def level_strings(self, length: int) -> list[str]:
-        if not 0 <= length <= self.depth:
-            return []
-        return [format(j, f"0{length}b") if length else "" for j in _iter_bits(self.levels[length])]
-
-    def count(self, length: int) -> int:
-        if not 0 <= length <= self.depth:
-            return 0
-        return self.levels[length].bit_count()
-
-    def is_empty(self) -> bool:
-        return self.levels[0] == 0
-
-    def to_source(self) -> TreeSource:
-        """Membership to the truncation depth; extendible means reaching it."""
-        pruned = prune_truncation(self)
-
-        def count(tau: str, m: int) -> int:
-            if m < len(tau):
-                return 0
-            return sum(1 for s in self.level_strings(m) if s.startswith(tau))
-
-        return TreeSource(
-            member=self.member,
-            extendible=pruned.member,
-            extension_count=count,
-            name=f"truncated:{self.depth}",
-        )
-
-
-def _rank(s: str) -> int:
-    return int(s, 2) if s else 0
-
-
-def _bitmap(strings: Iterable[str]) -> int:
-    bits = 0
-    for s in strings:
-        bits |= 1 << _rank(s)
-    return bits
-
-
-def _iter_bits(bits: int) -> Iterator[int]:
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
-def _fold_children(child_bits: int, child_length: int) -> int:
-    """Bitmap of parents having at least one set child."""
-    width = 1 << child_length
-    lsb_first = format(child_bits, f"0{width}b")[::-1]
-    merged = [
-        "1" if lsb_first[2 * j] == "1" or lsb_first[2 * j + 1] == "1" else "0"
-        for j in range(width // 2)
-    ]
-    return int("".join(reversed(merged)) or "0", 2)
-
-
-def prune_truncation(t: TruncatedTree) -> TruncatedTree:
-    """Keep exactly the strings with an extension at the truncation depth."""
-    levels = list(t.levels)
-    for length in range(t.depth, 0, -1):
-        levels[length - 1] &= _fold_children(levels[length], length)
-    return TruncatedTree(t.depth, tuple(levels))
-
-
-# -- subset codes ---------------------------------------------------------------
+# -- finite trees ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BlockMarking:
-    """Marked strings grouped by length, through one complete block.
+    """A finite tree: its marked strings grouped by length, through one block.
 
-    block is the deepest complete level (-1 for the empty prefix, which
-    carries no information at all).  A restriction marking may have empty
-    levels; an ordinary validated marking may not.
+    levels[L] holds the marks of length L, for L = 0..block; block -1 is
+    the empty prefix, which carries no information at all.  The constructor
+    is the one shape check of a finite tree: one level per length, every
+    mark a binary string of its level's length, every mark's parent marked.
+    A restriction marking may have empty levels; an ordinary validated
+    marking may not.
     """
 
     block: int
@@ -314,8 +211,23 @@ class BlockMarking:
     restriction: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.levels) != self.block + 1:
-            raise CgmtError("marking levels do not match block")
+        try:
+            levels = tuple(frozenset(level) for level in self.levels)
+        except TypeError as exc:
+            raise ShapeViolation(self.block, f"levels are not sets of marks: {exc}") from exc
+        object.__setattr__(self, "levels", levels)
+        if len(levels) != self.block + 1:
+            raise ShapeViolation(self.block, f"{len(levels)} levels for block {self.block}")
+        for length, level in enumerate(levels):
+            above = levels[length - 1] if length else frozenset()
+            for t in level:
+                # a marked parent is already checked binary, so the last bit is all that is new
+                if not isinstance(t, str) or len(t) != length or (length and t[-1] not in "01"):
+                    raise ShapeViolation(t, f"mark is not a binary string of length {length}")
+                if length and t[:-1] not in above:
+                    if t.strip("01"):
+                        raise ShapeViolation(t, f"mark is not a binary string of length {length}")
+                    raise Condition1Violation(t)
 
     def marked_at(self, length: int) -> frozenset[str]:
         if not 0 <= length <= self.block:
@@ -325,6 +237,12 @@ class BlockMarking:
     def is_marked(self, s: str) -> bool:
         return s in self.marked_at(len(s))
 
+    def cut(self, block: int) -> "BlockMarking":
+        """The same marks through a block no deeper than this one."""
+        if not -1 <= block <= self.block:
+            raise CgmtError(f"block {block} outside the marking's blocks -1..{self.block}")
+        return BlockMarking(block, self.levels[: block + 1], restriction=self.restriction)
+
     def restrict(self, tau: str) -> "BlockMarking":
         check_bits(tau)
         return BlockMarking(
@@ -333,9 +251,48 @@ class BlockMarking:
             restriction=True,
         )
 
+    def to_source(self) -> TreeSource:
+        """Membership to the block; extendible means reaching it."""
+        depth = self.block
+        live = prefix_closure(self.marked_at(depth), depth)
+
+        def member(s: str) -> bool:
+            check_bits(s)
+            return s in self.marked_at(len(s))
+
+        def extendible(s: str) -> bool:
+            check_bits(s)
+            return len(s) <= depth and s in live[len(s)]
+
+        def count(tau: str, m: int) -> int:
+            if m < len(tau):
+                return 0
+            return sum(1 for s in self.marked_at(m) if s.startswith(tau))
+
+        return TreeSource(
+            member=member, extendible=extendible, extension_count=count, name=f"truncated:{depth}"
+        )
+
     @staticmethod
     def empty() -> "BlockMarking":
         return BlockMarking(-1, ())
+
+
+def prefix_closure(top: Iterable[str], depth: int) -> tuple[frozenset[str], ...]:
+    """Per length 0..depth, the prefixes of the length-depth strings in top."""
+    levels = [frozenset(top)]
+    for _ in range(depth):
+        levels.append(frozenset(sigma[:-1] for sigma in levels[-1]))
+    return tuple(reversed(levels))
+
+
+def marking_of_source(src: TreeSource, block: int, budget: Optional[int] = None) -> BlockMarking:
+    """Canonical marking of the tree itself through the given block."""
+    levels = levels_of_source(src, block, budget)
+    return BlockMarking(block, levels, restriction=not all(levels))
+
+
+# -- subset codes ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -414,16 +371,11 @@ def code_of_levels(
     for n, level in enumerate(levels):
         row = ["0"] * (1 << n)
         for s in level:
-            row[_rank(s)] = "1"
+            row[int(s or "0", 2)] = "1"
         rows.append("".join(row))
     return SubtreeCodePrefix(
         "".join(rows), len(rows) - 1 if rows else None, pruned=pruned, restriction=restriction
     )
-
-
-def code_of_tree(t: TruncatedTree) -> SubtreeCodePrefix:
-    """The canonical code marking every member of the truncation."""
-    return code_of_levels(t.level_strings(L) for L in range(t.depth + 1))
 
 
 def restrict(z: SubtreeCodePrefix, tau: str) -> SubtreeCodePrefix:
@@ -512,5 +464,5 @@ def separable_from_pruned(src: TreeSource, count: int, depth: int) -> SeparableS
     return SeparableSequence(tuple(gens))
 
 
-def tree_from_separable(seq: SeparableSequence, depth: int) -> TruncatedTree:
-    return TruncatedTree.from_strings((g.prefix(depth) for g in seq.generators), depth)
+def tree_from_separable(seq: SeparableSequence, depth: int) -> BlockMarking:
+    return BlockMarking(depth, prefix_closure((g.prefix(depth) for g in seq.generators), depth))

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import CgmtError, check_bits
-from .trees import TreeSource, TruncatedTree, dyadic_tree, full_tree, rooted_tree
+from .trees import BlockMarking, TreeSource, dyadic_tree, full_tree, rooted_tree
 
 
 class ParseError(CgmtError):
@@ -93,7 +93,7 @@ def _builtin_source(name: Optional[str]) -> TreeSource:
 def _explicit_source(members: Optional[Sequence[str]], depth: Optional[int]) -> TreeSource:
     if depth is None or members is None:
         raise ParseError("explicit spec needs depth and members")
-    listed = set()
+    levels: list[set[str]] = [set() for _ in range(depth + 1)]
     for s in members:
         try:
             check_bits(s)
@@ -101,11 +101,12 @@ def _explicit_source(members: Optional[Sequence[str]], depth: Optional[int]) -> 
             raise ParseError(str(exc)) from exc
         if len(s) > depth:
             raise ParseError(f"member {s!r} longer than depth {depth}")
-        listed.add(s)
-    for s in sorted(listed, key=lambda t: (len(t), t)):
-        if s and s[:-1] not in listed:
-            raise NotPrefixClosed(s)
-    return TruncatedTree.from_strings(listed, depth).to_source()
+        levels[len(s)].add(s)
+    for length in range(1, depth + 1):
+        for s in sorted(levels[length]):
+            if s[:-1] not in levels[length - 1]:
+                raise NotPrefixClosed(s)
+    return BlockMarking(depth, levels).to_source()
 
 
 def _automatic_source(

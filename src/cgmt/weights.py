@@ -302,3 +302,15 @@ def _scaled_power(num: int, den: int, length: int) -> AlgebraicWeight:
 def string_weight(s_num: int, s_den: int, length: int) -> AlgebraicWeight:
     """2^(-s * length) for s = s_num/s_den, cached."""
     return _scaled_power(s_num, s_den, length)
+
+
+def cylinder_weight(s: Fraction, length: int) -> AlgebraicWeight:
+    """2^(-s * length), the s-weight of one cylinder of the given length."""
+    return _scaled_power(s.numerator, s.denominator, length)
+
+
+def as_weight(x) -> AlgebraicWeight:
+    """A weight as given, or the rational it names."""
+    if isinstance(x, AlgebraicWeight):
+        return x
+    return AlgebraicWeight.from_rational(Fraction(x))

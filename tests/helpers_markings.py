@@ -1,11 +1,26 @@
-"""Seeded random markings for the measure oracle battery."""
+"""Seeded random markings for the measure oracle battery, and finite trees from strings."""
 
 import random
 
 from cgmt.measure import count_covers
-from cgmt.trees import BlockMarking
+from cgmt.trees import BlockMarking, prefix_closure
 
 ENUM_BUDGET = 20_000
+
+
+def tree_of(strings, depth: int) -> BlockMarking:
+    """The strings, cut at depth, and all their initial segments."""
+    levels = [set() for _ in range(depth + 1)]
+    for s in strings:
+        s = s[:depth]
+        for length in range(len(s) + 1):
+            levels[length].add(s[:length])
+    return BlockMarking(depth, levels)
+
+
+def pruned(t: BlockMarking) -> BlockMarking:
+    """Exactly the marks with an extension at the marking's block."""
+    return BlockMarking(t.block, prefix_closure(t.marked_at(t.block), t.block))
 
 
 def random_marking(

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_markings import random_marking
+from helpers_markings import pruned, random_marking, tree_of
 
 from cgmt.cli import run_verify_suite
 from cgmt.construct import (
@@ -43,10 +43,8 @@ from cgmt.measure import (
 from cgmt.trees import (
     BlockMarking,
     TreeSource,
-    TruncatedTree,
     dyadic_tree,
     full_tree,
-    prune_truncation,
     rooted_tree,
 )
 from cgmt.weights import AlgebraicWeight
@@ -56,23 +54,23 @@ F = Fraction
 ONE = W.from_rational(1)
 
 
-def grown_source(t: TruncatedTree) -> TreeSource:
+def grown_source(t: BlockMarking) -> TreeSource:
     """Extend a truncation to an infinite tree: full growth above each leaf."""
-    pruned = prune_truncation(t)
-    d = t.depth
+    live = pruned(t)
+    d = t.block
 
     def member(s: str) -> bool:
-        return t.member(s) if len(s) <= d else t.member(s[:d])
+        return t.is_marked(s) if len(s) <= d else t.is_marked(s[:d])
 
     def extendible(s: str) -> bool:
-        return pruned.member(s) if len(s) <= d else t.member(s[:d])
+        return live.is_marked(s) if len(s) <= d else t.is_marked(s[:d])
 
     def count(tau: str, m: int) -> int:
         if m <= d:
-            return sum(1 for x in t.level_strings(m) if x.startswith(tau))
+            return sum(1 for x in t.marked_at(m) if x.startswith(tau))
         if len(tau) >= d:
             return (1 << (m - len(tau))) if member(tau) else 0
-        leaves = sum(1 for x in t.level_strings(d) if x.startswith(tau))
+        leaves = sum(1 for x in t.marked_at(d) if x.startswith(tau))
         return leaves << (m - d)
 
     return TreeSource(member=member, extendible=extendible, extension_count=count, name="grown")
@@ -190,7 +188,7 @@ def test_criterion_3_monotonicity_suite_500_instances():
     print(f"\nCRITERION 3 PASS: 500 instances across 4 properties {counts}, {elapsed:.1f}s")
 
 
-def _random_truncation(rng: random.Random) -> TruncatedTree:
+def _random_truncation(rng: random.Random) -> BlockMarking:
     while True:
         depth = rng.randint(3, 4)
         density = rng.uniform(0.3, 0.9)
@@ -198,7 +196,7 @@ def _random_truncation(rng: random.Random) -> TruncatedTree:
             format(v, f"0{depth}b") for v in range(1 << depth) if rng.random() < density
         }
         if leaves:
-            return TruncatedTree.from_strings(leaves, depth)
+            return tree_of(leaves, depth)
 
 
 def test_criterion_4_interpolation_brackets_100_instances():
@@ -212,7 +210,7 @@ def test_criterion_4_interpolation_brackets_100_instances():
         s = dims[i % 3]
         n = rng.randint(0, 2)
         certified = htilde(
-            marking_of_source(src, t.depth + 2), s, n, want_witness=False
+            marking_of_source(src, t.block + 2), s, n, want_witness=False
         ).value
         if certified.sign() == 0:
             certified = ONE  # degenerate tree: fall back to c = 0 below

@@ -9,8 +9,10 @@ codes, and round-trips.
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,7 @@ from cgmt.cli import (
     run_verify_suite,
 )
 from cgmt.construct import besicovitch_extract
-from cgmt.core import CgmtError
+from cgmt.core import CgmtError, iter_strings
 from cgmt.report import (
     ReportDocument,
     certificate_from_obj,
@@ -128,6 +130,42 @@ class TestTreeSpecExplicit:
             spec_from_obj({"kind": "explicit", "members": ["", "0"]})
         with pytest.raises(ParseError):
             spec_from_obj({"kind": "explicit", "depth": -1, "members": []})
+
+    def test_random_member_lists_match_own_sets(self):
+        rng = random.Random("explicit-source")
+        for _ in range(60):
+            depth = rng.randint(0, 8)
+            keep = rng.uniform(0.3, 0.9)
+            members = {""} if rng.random() < 0.95 else set()
+            frontier = sorted(members)
+            for _ in range(depth):
+                frontier = [p + b for p in frontier for b in "01" if rng.random() < keep]
+                members.update(frontier)
+            listed = sorted(members) + rng.sample(sorted(members), len(members) // 3)
+            rng.shuffle(listed)
+            src = spec_from_obj({"kind": "explicit", "depth": depth, "members": listed}).source()
+            counts = {}
+            for t in members:
+                for k in range(len(t) + 1):
+                    counts[t[:k], len(t)] = counts.get((t[:k], len(t)), 0) + 1
+            extendible = {t[:k] for t in members if len(t) == depth for k in range(depth + 1)}
+            for tau in iter_strings(depth + 1):
+                assert src.member(tau) == (tau in members), tau
+                assert src.extendible(tau) == (tau in extendible), tau
+                for m in range(depth + 2):
+                    assert src.extension_count(tau, m) == counts.get((tau, m), 0), (tau, m)
+
+    def test_deep_single_branch_is_cheap(self):
+        start = time.monotonic()
+        members = ["1" * k for k in range(41)]
+        src = spec_from_obj({"kind": "explicit", "depth": 40, "members": members}).source()
+        assert src.member("1" * 40) and src.member("1" * 17)
+        assert not src.member("1" * 39 + "0") and not src.member("1" * 41)
+        assert src.extendible("") and src.extendible("1" * 40)
+        assert not src.extendible("0") and not src.extendible("1" * 41)
+        assert src.extension_count("", 40) == 1 and src.extension_count("1" * 9, 33) == 1
+        assert src.extension_count("10", 40) == 0 and src.extension_count("1" * 5, 4) == 0
+        assert time.monotonic() - start < 1.0
 
 
 class TestTreeSpecAutomatic:
@@ -315,6 +353,33 @@ class TestCliCommands:
         code, out, _ = run_cli(capsys, "cover-verify", "--certificate", str(path))
         assert code == EXIT_VERDICT
         assert json.loads(out)["results"]["all_ok"] is False
+
+    def _tampered_cover_verify(self, capsys, tmp_path, tamper):
+        doc = run_json(capsys, "besicovitch", "--tree", "full", "--s", "1/2",
+                       "--c", "1", "--stages", "3")
+        tamper(doc["results"]["certificates"][-1]["levels"])
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "cover-verify", "--certificate", str(path))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error[9] ")
+        assert err.count("\n") == 1
+        return err
+
+    def test_cover_verify_rejects_non_binary_mark(self, capsys, tmp_path):
+        def tamper(levels):
+            levels[-1][0] = "2" * len(levels[-1][0])
+
+        err = self._tampered_cover_verify(capsys, tmp_path, tamper)
+        assert "not a binary string" in err
+
+    def test_cover_verify_rejects_mark_without_parent(self, capsys, tmp_path):
+        def tamper(levels):
+            levels[-2].remove(levels[-1][0][:-1])
+
+        err = self._tampered_cover_verify(capsys, tmp_path, tamper)
+        assert "unmarked parent" in err
 
     def test_extract_reports_bracket(self, capsys):
         doc = run_json(capsys, "extract", "--tree", "full", "--s", "1/2", "--n", "1",

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers_markings import pruned, tree_of
+
 from cgmt.core import BudgetExceeded, CgmtError
 from cgmt.construct import (
     DensityTarget,
@@ -30,12 +32,12 @@ from cgmt.construct import (
 )
 from cgmt.measure import PreconditionMeasure, htilde
 from cgmt.trees import (
+    BlockMarking,
     NotExtendible,
     TreeSource,
-    TruncatedTree,
     dyadic_tree,
     full_tree,
-    prune_truncation,
+    marking_of_source,
     rooted_tree,
     validate_code,
 )
@@ -52,23 +54,23 @@ def exactly(value: AlgebraicWeight, expected) -> bool:
     return (value - W(expected)).is_zero()
 
 
-def grown_source(t: TruncatedTree) -> TreeSource:
+def grown_source(t: BlockMarking) -> TreeSource:
     """Extend a truncation to an infinite tree: full growth above each leaf."""
-    pruned = prune_truncation(t)
-    d = t.depth
+    live = pruned(t)
+    d = t.block
 
     def member(s: str) -> bool:
-        return t.member(s) if len(s) <= d else t.member(s[:d])
+        return t.is_marked(s) if len(s) <= d else t.is_marked(s[:d])
 
     def extendible(s: str) -> bool:
-        return pruned.member(s) if len(s) <= d else t.member(s[:d])
+        return live.is_marked(s) if len(s) <= d else t.is_marked(s[:d])
 
     def count(tau: str, m: int) -> int:
         if m <= d:
-            return sum(1 for x in t.level_strings(m) if x.startswith(tau))
+            return sum(1 for x in t.marked_at(m) if x.startswith(tau))
         if len(tau) >= d:
             return (1 << (m - len(tau))) if member(tau) else 0
-        leaves = sum(1 for x in t.level_strings(d) if x.startswith(tau))
+        leaves = sum(1 for x in t.marked_at(d) if x.startswith(tau))
         return leaves << (m - d)
 
     return TreeSource(member=member, extendible=extendible, extension_count=count, name="grown")
@@ -180,7 +182,7 @@ def test_interpolate_zero_target_positive_tree():
 
 
 def test_interpolate_zero_target_dead_tree():
-    dead = TruncatedTree.full(2).to_source()
+    dead = marking_of_source(full_tree(), 2).to_source()
     r = approx_subset(dead, 1, 0, 0, Fraction(1, 4))
     assert r.bracket.lower.is_zero()
     assert r.bracket.upper.is_zero()
@@ -250,7 +252,7 @@ def test_interpolate_random_brackets():
         ]
         if not leaves:
             leaves = ["0" * depth]
-        src = grown_source(TruncatedTree.from_strings(leaves, depth))
+        src = grown_source(tree_of(leaves, depth))
         s = rng.choice([HALF, Fraction(2, 3), Fraction(1)])
         n = rng.choice([0, 1])
         zc = PiecewiseCode.root_of(src)
@@ -332,7 +334,7 @@ def test_thinify_random_floor_and_transfer():
         ]
         if not leaves:
             continue
-        src = grown_source(TruncatedTree.from_strings(leaves, depth))
+        src = grown_source(tree_of(leaves, depth))
         s = rng.choice([HALF, Fraction(1)])
         n = rng.choice([0, 1])
         theta = Fraction(1, 1 << rng.randint(4, 6))

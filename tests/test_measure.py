@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_markings import random_marking
+from helpers_markings import pruned, random_marking, tree_of
 
 from cgmt.core import BudgetExceeded, CgmtError
 from cgmt.measure import (
@@ -19,15 +19,12 @@ from cgmt.measure import (
     htilde_bruteforce,
     marking_of_source,
     measure_sequence,
-    verify_delta_cover,
     verify_marking_cover,
 )
 from cgmt.trees import (
     BlockMarking,
-    TruncatedTree,
     code_of_levels,
     full_tree,
-    prune_truncation,
     rooted_tree,
     validate_code,
 )
@@ -233,19 +230,19 @@ def test_unit_dimension_closed_form():
 
 
 def test_verify_delta_cover_accepts_witness():
-    t = prune_truncation(TruncatedTree.from_strings(["000", "011", "110"], 3))
+    t = pruned(tree_of(["000", "011", "110"], 3))
     marking = marking_of_source(t.to_source(), 3)
     for s, n in [(HALF, 1), (Fraction(1), 0), (Fraction(3, 2), 2)]:
         v = htilde(marking, s, n)
-        assert verify_delta_cover(v.witness, t, n, s) == v.value
+        assert verify_marking_cover(v.witness, t, n, s) == v.value
 
 
 def test_verify_delta_cover_rejects():
-    t = TruncatedTree.full(2)
+    t = marking_of_source(full_tree(), 2)
     with pytest.raises(LengthViolation):
-        verify_delta_cover(CoverSet(frozenset({""}), 0, 2), t, 1, 1)
+        verify_marking_cover(CoverSet(frozenset({""}), 0, 2), t, 1, 1)
     with pytest.raises(NotACover) as e:
-        verify_delta_cover(CoverSet(frozenset({"0"}), 0, 2), t, 0, 1)
+        verify_marking_cover(CoverSet(frozenset({"0"}), 0, 2), t, 0, 1)
     assert e.value.witness in {"10", "11"}
 
 
@@ -283,7 +280,7 @@ def test_measure_sequence_monotone():
         strings = [
             "".join(rng.choice("01") for _ in range(depth)) for _ in range(rng.randint(1, 10))
         ]
-        src = TruncatedTree.from_strings(strings, depth).to_source()
+        src = tree_of(strings, depth).to_source()
         values = measure_sequence(src, HALF, 1, list(range(depth + 1)))
         for earlier, later in zip(values, values[1:]):
             assert earlier.value >= later.value

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from helpers_markings import pruned, tree_of
+
 from cgmt.core import CgmtError, iter_strings, string_at
 from cgmt import trees as tr
 from cgmt.trees import (
+    BlockMarking,
     Condition1Violation,
     Condition2Violation,
     Condition3Violation,
@@ -12,13 +15,12 @@ from cgmt.trees import (
     PrunedViolation,
     SeparableSequence,
     TreeSource,
-    TruncatedTree,
-    code_of_tree,
+    code_of_levels,
     constant_tail_path,
     dyadic_tree,
     full_tree,
     leftmost_path,
-    prune_truncation,
+    marking_of_source,
     restrict,
     rooted_tree,
     separable_from_pruned,
@@ -113,27 +115,27 @@ def test_validator_matches_bruteforce():
 
 def test_truncation_rejects_non_prefix_closed():
     with pytest.raises(CgmtError):
-        TruncatedTree(1, (0, 1))
+        BlockMarking(1, (frozenset(), frozenset({"0"})))
 
 
 def test_from_strings_collects_prefixes():
-    t = TruncatedTree.from_strings(["01"], 2)
-    assert sorted(t.level_strings(1)) == ["0"]
-    assert t.member("") and t.member("0") and t.member("01")
-    assert not t.member("1") and not t.member("00")
+    t = tree_of(["01"], 2)
+    assert sorted(t.marked_at(1)) == ["0"]
+    assert t.is_marked("") and t.is_marked("0") and t.is_marked("01")
+    assert not t.is_marked("1") and not t.is_marked("00")
 
 
 def test_prune_removes_dead_branch():
-    t = TruncatedTree.from_strings(["000", "10"], 3)
-    p = prune_truncation(t)
-    assert not p.member("10") and not p.member("1")
-    assert p.member("00")
-    assert p.level_strings(3) == t.level_strings(3)
+    t = tree_of(["000", "10"], 3)
+    p = pruned(t)
+    assert not p.is_marked("10") and not p.is_marked("1")
+    assert p.is_marked("00")
+    assert p.marked_at(3) == t.marked_at(3)
 
 
 def test_prune_empty_top_level():
-    t = TruncatedTree.from_strings(["00", "11"], 3)
-    assert prune_truncation(t).is_empty()
+    t = tree_of(["00", "11"], 3)
+    assert not pruned(t).marked_at(0)
 
 
 def test_prune_random_trees():
@@ -144,37 +146,37 @@ def test_prune_random_trees():
             "".join(rng.choice("01") for _ in range(rng.randint(0, depth)))
             for _ in range(rng.randint(0, 12))
         ]
-        t = TruncatedTree.from_strings([""] + strings, depth)
-        p = prune_truncation(t)
-        assert prune_truncation(p) == p
+        t = tree_of([""] + strings, depth)
+        p = pruned(t)
+        assert pruned(p) == p
         assert p.levels[depth] == t.levels[depth]
         # keep rule, checked directly
         for length in range(depth + 1):
-            for s in t.level_strings(length):
+            for s in t.marked_at(length):
                 survives = any(
-                    deep.startswith(s) for deep in t.level_strings(depth)
+                    deep.startswith(s) for deep in t.marked_at(depth)
                 )
-                assert p.member(s) == survives
+                assert p.is_marked(s) == survives
 
 
 def test_full_truncation_counts():
-    t = TruncatedTree.full(4)
-    assert [t.count(L) for L in range(5)] == [1, 2, 4, 8, 16]
-    assert prune_truncation(t) == t
+    t = marking_of_source(full_tree(), 4)
+    assert [len(t.marked_at(L)) for L in range(5)] == [1, 2, 4, 8, 16]
+    assert pruned(t) == t
 
 
 def test_source_conversion():
-    t = TruncatedTree.from_strings(["000", "10"], 3)
+    t = tree_of(["000", "10"], 3)
     src = t.to_source()
     assert src.member("10")
     assert not src.extendible("10")
     assert src.extendible("00")
-    assert TruncatedTree.from_source(src, 3) == t
+    assert marking_of_source(src, 3) == t
 
 
 def test_from_source_budget():
     with pytest.raises(tr.BudgetExceeded):
-        TruncatedTree.from_source(full_tree(), 8, budget=100)
+        marking_of_source(full_tree(), 8, budget=100)
 
 
 def test_dyadic_tree_counts():
@@ -236,7 +238,7 @@ def test_separable_count_zero():
 def test_tree_from_separable():
     seq = SeparableSequence((constant_tail_path(""), constant_tail_path("1")))
     t = tree_from_separable(seq, 2)
-    members = {s for s in iter_strings(2) if t.member(s)}
+    members = {s for s in iter_strings(2) if t.is_marked(s)}
     assert members == {"", "0", "1", "00", "10"}
 
 
@@ -245,19 +247,19 @@ def test_separable_roundtrip():
     for _ in range(30):
         depth = rng.randint(1, 6)
         strings = ["".join(rng.choice("01") for _ in range(depth)) for _ in range(rng.randint(1, 10))]
-        pruned = prune_truncation(TruncatedTree.from_strings(strings, depth))
-        src = pruned.to_source()
-        count = sum(pruned.count(L) for L in range(depth + 1))
+        p = pruned(tree_of(strings, depth))
+        src = p.to_source()
+        count = sum(len(p.marked_at(L)) for L in range(depth + 1))
         rebuilt = tree_from_separable(separable_from_pruned(src, count, depth), depth)
-        assert rebuilt == pruned
+        assert rebuilt == p
 
 
 # -- codes and restriction ----------------------------------------------------------
 
 
 def test_code_of_tree_roundtrip():
-    t = TruncatedTree.from_strings(["00", "01", "1"], 2)
-    code = code_of_tree(t)
+    t = tree_of(["00", "01", "1"], 2)
+    code = code_of_levels(t.levels)
     assert code.bits == "1111100"
     marking = code.marking()
     assert marking.marked_at(2) == {"00", "01"}
