@@ -208,7 +208,7 @@ def _tree(args) -> TreeSource:
 def _cmd_measure(args) -> tuple[dict, dict, int]:
     src = _tree(args)
     blocks = parse_int_list(args.blocks) if args.blocks else list(range(args.n, args.depth + 1))
-    values = measure_sequence(src, parse_dimension(args.s), args.n, blocks)
+    values = measure_sequence(src, parse_dimension(args.s), args.n, blocks, budget=args.budget)
     results = {"sequence": [measure_value_obj(v) for v in values]}
     inputs = {"tree": args.tree, "s": args.s, "n": args.n, "blocks": blocks}
     return inputs, results, EXIT_OK
@@ -221,7 +221,8 @@ def _cmd_cover_verify(args) -> tuple[dict, dict, int]:
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad certificate file: {exc}") from exc
     if isinstance(doc, dict) and "results" in doc:
-        doc = doc["results"].get("certificates", [])
+        results = doc["results"]
+        doc = results.get("certificates", []) if isinstance(results, dict) else None
     if isinstance(doc, dict):
         doc = [doc]
     if not isinstance(doc, list):
@@ -430,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="granularity")
     p.add_argument("--depth", type=int, default=6, help="last block when --blocks is absent")
     p.add_argument("--blocks", default=None, help="comma-separated block list")
+    _add_budget(p)
     p.set_defaults(handler=_cmd_measure)
 
     p = sub_parser("cover-verify", "recheck emitted certificates")

@@ -27,6 +27,10 @@ class CgmtError(Exception):
     """Base class for all library errors."""
 
 
+class ParseError(CgmtError):
+    """Malformed input document: a tree spec, a certificate, a weight object."""
+
+
 class DepthCapExceeded(CgmtError):
     """Index or string length beyond the configured depth cap."""
 

@@ -8,7 +8,10 @@ nodes; from length n up it is a min/sum dynamic program.  Short prefixes
 (block below n) carry no usable information and get the full level-n cover
 price 2^((1-s)*n) by convention.
 
-htilde is the production implementation; htilde_bruteforce enumerates every
+htilde is the production implementation.  A node's value depends only on its
+length and the shape of its subtree, so htilde weighs each distinct subtree
+shape once per length: on the full tree that is one sum and one comparison
+per level, however many strings are live.  htilde_bruteforce enumerates every
 cover literally ("cover here or delegate to both children") and exists only
 to check htilde against an independent route.  Since a cover's weight depends
 only on the multiset of its string lengths, the enumeration weighs and
@@ -119,7 +122,15 @@ def _case2(s: Fraction, n: int, at_block: int) -> MeasureValue:
 
 
 def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> MeasureValue:
-    """Exact min-weight cover value of the marking at dimension s, granularity n."""
+    """Exact min-weight cover value of the marking at dimension s, granularity n.
+
+    Working up from the block, each live node gets a shape id: leaves share
+    id 0, and an inner node's id is looked up from the ids of its children.
+    Nodes of one length with equal ids have equal subtrees, hence equal
+    values and the same choice between covering here and delegating, so the
+    exact sum and comparison run once per id, not once per string.  The
+    value and the witness are the same as a per-string evaluation's.
+    """
     s = _exponent(s)
     if n < 0:
         raise CgmtError(f"granularity must be nonnegative, got {n}")
@@ -131,23 +142,30 @@ def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> Measu
         return MeasureValue(AlgebraicWeight.zero(), CoverSet(frozenset(), n, m), m)
 
     live = prefix_closure(top, m)
-    value_at: dict[str, AlgebraicWeight] = {sigma: cylinder_weight(s, m) for sigma in live[m]}
-    take_here: dict[str, bool] = {}
+    # shape[sigma] numbers sigma's subtree among the distinct subtrees at its
+    # length; values and take_here are indexed by those numbers
+    shape: dict[str, int] = dict.fromkeys(live[m], 0)
+    values = [cylinder_weight(s, m)]
+    take_here: list[list[bool]] = [[] for _ in range(m)]
     for length in range(m - 1, -1, -1):
         here = cylinder_weight(s, length)
+        shapes: dict[tuple[int, int], int] = {}
+        level_values: list[AlgebraicWeight] = []
+        level_take: list[bool] = []
         for sigma in live[length]:
-            total = None
-            for child in (sigma + "0", sigma + "1"):
-                w = value_at.get(child)
-                if w is not None:
-                    total = w if total is None else total + w
-            # live nodes below the top always have a live child
-            if length >= n and here <= total:
-                value_at[sigma] = here
-                take_here[sigma] = True
-            else:
-                value_at[sigma] = total
-                take_here[sigma] = False
+            key = (shape.get(sigma + "0", -1), shape.get(sigma + "1", -1))
+            k = shapes.get(key)
+            if k is None:
+                k = shapes[key] = len(level_values)
+                # live nodes below the top always have a live child
+                kids = [values[c] for c in key if c >= 0]
+                total = kids[0] + kids[1] if len(kids) == 2 else kids[0]
+                take = length >= n and here <= total
+                level_values.append(here if take else total)
+                level_take.append(take)
+            shape[sigma] = k
+        values = level_values
+        take_here[length] = level_take
 
     witness = None
     if want_witness:
@@ -155,14 +173,14 @@ def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> Measu
         stack = [""]
         while stack:
             sigma = stack.pop()
-            if len(sigma) == m or take_here[sigma]:
+            if len(sigma) == m or take_here[len(sigma)][shape[sigma]]:
                 chosen.append(sigma)
             else:
                 for child in (sigma + "0", sigma + "1"):
-                    if child in value_at:
+                    if child in shape:
                         stack.append(child)
         witness = CoverSet(frozenset(chosen), n, m)
-    return MeasureValue(value_at[""], witness, m)
+    return MeasureValue(values[shape[""]], witness, m)
 
 
 # -- independent brute-force oracle ---------------------------------------------
@@ -265,13 +283,18 @@ def verify_marking_cover(cover: CoverSet, marking: BlockMarking, n: int, s) -> A
 # -- sequences and comparison -------------------------------------------------------
 
 
-def measure_sequence(src: TreeSource, s, n: int, blocks: list[int]) -> list[MeasureValue]:
-    """htilde of the tree's own code at each requested block (blocks increasing)."""
+def measure_sequence(
+    src: TreeSource, s, n: int, blocks: list[int], budget: Optional[int] = None
+) -> list[MeasureValue]:
+    """htilde of the tree's own code at each requested block (blocks increasing).
+
+    budget bounds the number of strings enumerated for the deepest block.
+    """
     if list(blocks) != sorted(set(blocks)):
         raise CgmtError("blocks must be strictly increasing")
     if not blocks:
         return []
-    marking = marking_of_source(src, max(blocks))
+    marking = marking_of_source(src, max(blocks), budget)
     return [htilde(marking.cut(b), s, n) for b in blocks]
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .core import CgmtError
+from .core import CgmtError, ParseError
 from .weights import AlgebraicWeight
 from .trees import BlockMarking
 from .measure import MeasureBracket, MeasureValue
@@ -134,28 +134,53 @@ def certificate_obj(cert: RefinementCertificate) -> dict:
     }
 
 
+def _field(obj, key: str, kind: type):
+    """obj[key], which must be present and of the given JSON type."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParseError(f"malformed certificate object: missing {key!r}")
+    value = obj[key]
+    # bool is an int subtype, but true and false are not JSON integers
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"malformed certificate object: {key!r} must be a {kind.__name__}")
+    return value
+
+
 def certificate_from_obj(obj: dict) -> RefinementCertificate:
+    """Decode a certificate_obj document.
+
+    Missing fields, fields of the wrong JSON type and malformed weights raise
+    ParseError; levels that do not form a finite tree raise the BlockMarking
+    shape check's CodeViolation.
+    """
+    levels = _field(obj, "levels", list)
+    if not all(isinstance(level, list) and all(isinstance(t, str) for t in level)
+               for level in levels):
+        raise ParseError("malformed certificate object: levels must be lists of strings")
     try:
-        return RefinementCertificate(
-            stage=int(obj["stage"]),
-            dimension=Fraction(obj["dimension"]),
-            marks=BlockMarking(len(obj["levels"]) - 1, obj["levels"]),
-            lower_granularity=int(obj["lower"]["granularity"]),
-            lower_target=weight_from_obj(obj["lower"]["target"]),
-            lower_checks=tuple(
-                (int(row["block"]), weight_from_obj(row["value"]))
-                for row in obj["lower"]["checks"]
-            ),
-            upper_granularity=int(obj["upper"]["granularity"]),
-            upper_target=weight_from_obj(obj["upper"]["target"]),
-            upper_witness=(
-                int(obj["upper"]["witness"]["block"]),
-                weight_from_obj(obj["upper"]["witness"]["value"]),
-            ),
-            theta=weight_from_obj(obj["theta"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CgmtError(f"malformed certificate object: {exc}") from exc
+        dimension = Fraction(_field(obj, "dimension", str))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed certificate object: dimension {obj['dimension']!r}") from exc
+    lower = _field(obj, "lower", dict)
+    upper = _field(obj, "upper", dict)
+    witness = _field(upper, "witness", dict)
+    return RefinementCertificate(
+        stage=_field(obj, "stage", int),
+        dimension=dimension,
+        marks=BlockMarking(len(levels) - 1, levels),
+        lower_granularity=_field(lower, "granularity", int),
+        lower_target=weight_from_obj(_field(lower, "target", dict)),
+        lower_checks=tuple(
+            (_field(row, "block", int), weight_from_obj(_field(row, "value", dict)))
+            for row in _field(lower, "checks", list)
+        ),
+        upper_granularity=_field(upper, "granularity", int),
+        upper_target=weight_from_obj(_field(upper, "target", dict)),
+        upper_witness=(
+            _field(witness, "block", int),
+            weight_from_obj(_field(witness, "value", dict)),
+        ),
+        theta=weight_from_obj(_field(obj, "theta", dict)),
+    )
 
 
 def document_obj(doc: ReportDocument) -> dict:

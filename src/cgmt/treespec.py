@@ -25,12 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import CgmtError, check_bits
+from .core import CgmtError, ParseError, check_bits
 from .trees import BlockMarking, TreeSource, dyadic_tree, full_tree, rooted_tree
-
-
-class ParseError(CgmtError):
-    """Malformed tree-spec document."""
 
 
 class NotPrefixClosed(ParseError):

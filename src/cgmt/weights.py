@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .core import CgmtError
+from .core import CgmtError, ParseError
 
 Rationalish = Union[int, Fraction]
 
@@ -275,16 +275,24 @@ class AlgebraicWeight:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "AlgebraicWeight":
+        """The weight a to_json_obj document names; anything else is a ParseError."""
+        q = obj.get("q") if isinstance(obj, dict) else None
+        raw = obj.get("coeffs") if isinstance(obj, dict) else None
+        if (
+            type(q) is not int
+            or q < 1
+            or not isinstance(raw, list)
+            or len(raw) != q
+            or not all(isinstance(c, str) for c in raw)
+        ):
+            raise ParseError(f"malformed weight object: {obj!r}")
         try:
-            q = int(obj["q"])
-            coeffs = tuple(Fraction(c) for c in obj["coeffs"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CgmtError(f"malformed weight object: {obj!r}") from exc
-        w = AlgebraicWeight(q, coeffs)
-        canon = AlgebraicWeight._make(q, dict(enumerate(coeffs)))
-        if canon != w:
-            raise CgmtError("weight object is not in canonical form")
-        return w
+            coeffs = tuple(Fraction(c) for c in raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"malformed weight object: {obj!r}") from exc
+        if AlgebraicWeight._make(q, dict(enumerate(coeffs))).coeffs != coeffs:
+            raise ParseError(f"weight object is not in canonical form: {obj!r}")
+        return AlgebraicWeight(q, coeffs)
 
 
 ZERO = AlgebraicWeight.zero()

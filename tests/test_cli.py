@@ -291,6 +291,13 @@ class TestParseConstant:
         with pytest.raises(ParseError):
             parse_constant("one half")
 
+    @pytest.mark.parametrize(
+        "text", ['{"q": 1}', '{"q": "a", "coeffs": ["1"]}', '{"q": 2, "coeffs": ["0", "0"]}']
+    )
+    def test_rejects_malformed_weight_object(self, text):
+        with pytest.raises(ParseError):
+            parse_constant(text)
+
 
 class TestCliCommands:
     def test_measure_full_half_dimension(self, capsys):
@@ -381,6 +388,34 @@ class TestCliCommands:
         err = self._tampered_cover_verify(capsys, tmp_path, tamper)
         assert "unmarked parent" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("levels", 5),
+            ("stage", "x"),
+            ("theta", {"q": 1}),
+            ("theta", {"q": "a", "coeffs": ["1"]}),
+        ],
+    )
+    def test_cover_verify_rejects_malformed_fields(self, capsys, tmp_path, field, value):
+        doc = run_json(capsys, "besicovitch", "--tree", "full", "--s", "1/2",
+                       "--c", "1", "--stages", "3")
+        doc["results"]["certificates"][0][field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "cover-verify", "--certificate", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error[3] ParseError: ")
+        assert err.count("\n") == 1
+
+    def test_cover_verify_rejects_non_object_results(self, capsys, tmp_path):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"results": 5}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "cover-verify", "--certificate", str(path))
+        assert code == EXIT_PARSE
+        assert out == "" and err.startswith("error[3] ParseError: ")
+
     def test_extract_reports_bracket(self, capsys):
         doc = run_json(capsys, "extract", "--tree", "full", "--s", "1/2", "--n", "1",
                        "--c", "1", "--eps", "1/4")
@@ -457,6 +492,14 @@ class TestCliExitCodes:
         code, _, err = run_cli(capsys, "extract", "--tree", "full", "--s", "1/2",
                                "--n", "1", "--c", "1", "--eps", "1/4", "--budget", "1")
         assert code == EXIT_BUDGET
+
+    def test_measure_budget(self, capsys):
+        # unbudgeted, depth 30 on the full tree would enumerate 2^31 strings
+        code, out, err = run_cli(capsys, "measure", "--tree", "full", "--s", "1/2",
+                                 "--n", "1", "--depth", "30", "--budget", "10000")
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err.startswith("error[8] ") and err.count("\n") == 1
 
     def test_validation(self, capsys, tmp_path):
         dead = tmp_path / "dead.json"

@@ -24,7 +24,9 @@ from cgmt.measure import (
 from cgmt.trees import (
     BlockMarking,
     code_of_levels,
+    dyadic_tree,
     full_tree,
+    prefix_closure,
     rooted_tree,
     validate_code,
 )
@@ -156,6 +158,68 @@ def test_bruteforce_budget_guard():
     assert count_covers(full, 0) > 1_000_000
     with pytest.raises(BudgetExceeded):
         htilde_bruteforce(full, 1, 0, budget=1000)
+
+
+# -- shared subtree shapes --------------------------------------------------------
+
+
+@pytest.mark.parametrize("src", [full_tree(), dyadic_tree(5, 3)], ids=["full", "dyadic(5/8)"])
+def test_equal_subtrees_are_weighed_once(src, monkeypatch):
+    # 131,071 and 81,921 live strings, but only a few distinct subtree shapes
+    # per length: the exact ring work must scale with the shapes, not the strings
+    block = 16
+    marking = marking_of_source(src, block)
+    counts = {"add": 0, "sign": 0}
+    add, sign = W.__add__, W.sign
+
+    def counted_add(self, other):
+        counts["add"] += 1
+        return add(self, other)
+
+    def counted_sign(self):
+        counts["sign"] += 1
+        return sign(self)
+
+    monkeypatch.setattr(W, "__add__", counted_add)
+    monkeypatch.setattr(W, "sign", counted_sign)
+    v = htilde(marking, HALF, 1)
+    monkeypatch.undo()
+    assert counts["add"] <= 4 * (block + 1), counts
+    assert counts["sign"] <= 4 * (block + 1), counts
+    assert verify_marking_cover(v.witness, marking, 1, HALF) == v.value
+
+
+def glued_marking(rng: random.Random, block: int) -> BlockMarking:
+    """Random stems, each continued by one of a few random subtrees to the block."""
+    stem_length = rng.randint(0, block - 1)
+    depth = block - stem_length
+    density = rng.uniform(0.05, 0.5)
+    pieces = [
+        [x for x in (format(v, f"0{depth}b") for v in range(1 << depth)) if rng.random() < density]
+        or ["0" * depth]
+        for _ in range(rng.randint(1, 3))
+    ]
+    stems = [format(v, f"0{stem_length}b") if stem_length else "" for v in range(1 << stem_length)]
+    density = rng.uniform(0.05, 0.6)
+    stems = [p for p in stems if rng.random() < density] or [stems[-1]]
+    top = {stem + x for stem in stems for x in rng.choice(pieces)}
+    return BlockMarking(block, prefix_closure(top, block))
+
+
+def test_glued_markings_match_cover_check_and_oracle():
+    rng = random.Random("glued")
+    compared = set()
+    for trial in range(144):
+        block = 1 + trial % 12
+        n = rng.randint(0, min(2, block))
+        s = rng.choice([HALF, Fraction(2, 3), Fraction(1), Fraction(3, 2)])
+        marking = glued_marking(rng, block)
+        v = htilde(marking, s, n)
+        assert verify_marking_cover(v.witness, marking, n, s) == v.value, (marking, s, n)
+        if block <= 7 and count_covers(marking, n) <= 20_000:
+            assert htilde_bruteforce(marking, s, n).value == v.value, (marking, s, n)
+            compared.add(block)
+    assert compared == set(range(1, 8))
 
 
 # -- invariants -----------------------------------------------------------------
