@@ -30,6 +30,7 @@ from .trees import (
     BlockMarking,
     Condition2Violation,
     NotExtendible,
+    ShapeViolation,
     SubtreeCodePrefix,
     TreeSource,
     code_of_levels,
@@ -324,11 +325,13 @@ def _probe(
     z_top = big.levels[m]
     if not z_top:
         raise PreconditionMeasure(f"the ambient tree dies before level {m}")
-    skeleton = set()
-    for rho in big.levels[n_prime]:
-        branch = min((t for t in z_top if t.startswith(rho)), default=None)
-        if branch is not None:
-            skeleton.add(branch)
+    # the least top string below each level-n_prime root, in one pass
+    least: dict[str, str] = {}
+    for t in z_top:
+        rho = t[:n_prime]
+        if rho not in least or t < least[rho]:
+            least[rho] = t
+    skeleton = set(least.values())
     removed = sorted(z_top - skeleton, key=lambda t: (int(t[::-1], 2) if t else 0, t))
     total = len(removed)
     base = big.levels[: n_prime + 1]
@@ -353,7 +356,8 @@ def _probe(
     def value_at(i: int, block: int) -> AlgebraicWeight:
         got = values.get((i, block))
         if got is None:
-            marking = BlockMarking(block, levels_for(top_at(i), block), restriction=True)
+            # built from the checked big: every mark's parent is marked
+            marking = BlockMarking.derived(block, levels_for(top_at(i), block), restriction=True)
             got = values[(i, block)] = htilde(marking, s, n, want_witness=False).value
         return got
 
@@ -547,8 +551,10 @@ class RefinementCertificate:
     theta: AlgebraicWeight
 
     def marking(self, block: int) -> BlockMarking:
-        if block > self.marks.block:
-            raise CgmtError("certificate records levels only to its checked depth")
+        if not -1 <= block <= self.marks.block:
+            raise ShapeViolation(
+                block, f"certificate records levels only to block {self.marks.block}"
+            )
         return self.marks.cut(block)
 
     def verify(self) -> bool:

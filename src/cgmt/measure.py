@@ -11,11 +11,16 @@ price 2^((1-s)*n) by convention.
 htilde is the production implementation.  A node's value depends only on its
 length and the shape of its subtree, so htilde weighs each distinct subtree
 shape once per length: on the full tree that is one sum and one comparison
-per level, however many strings are live.  htilde_bruteforce enumerates every
-cover literally ("cover here or delegate to both children") and exists only
-to check htilde against an independent route.  Since a cover's weight depends
-only on the multiset of its string lengths, the enumeration weighs and
-compares each distinct length histogram once; it still visits every cover.
+per level, however many strings are live.  Inside one call s and the block
+are fixed, so the sums and comparisons run on weights.ScaledRing's int
+vectors, and only the root value becomes an AlgebraicWeight.
+
+htilde_bruteforce enumerates every cover literally ("cover here or delegate
+to both children") and exists only to check htilde against an independent
+route; it keeps AlgebraicWeight arithmetic throughout.  Since a cover's
+weight depends only on the multiset of its string lengths, the enumeration
+weighs and compares each distinct length histogram once; it still visits
+every cover.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .trees import (
     marking_of_source,
     prefix_closure,
 )
-from .weights import AlgebraicWeight, as_weight, cylinder_weight
+from .weights import AlgebraicWeight, ScaledRing, as_weight, cylinder_weight
 
 CASE2_WITNESS_CAP = 12
 DEFAULT_ENUM_BUDGET = 500_000
@@ -142,15 +147,16 @@ def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> Measu
         return MeasureValue(AlgebraicWeight.zero(), CoverSet(frozenset(), n, m), m)
 
     live = prefix_closure(top, m)
+    ring = ScaledRing(s, m)
     # shape[sigma] numbers sigma's subtree among the distinct subtrees at its
-    # length; values and take_here are indexed by those numbers
+    # length; values (ring vectors) and take_here are indexed by those numbers
     shape: dict[str, int] = dict.fromkeys(live[m], 0)
-    values = [cylinder_weight(s, m)]
+    values = [ring.cylinder(m)]
     take_here: list[list[bool]] = [[] for _ in range(m)]
     for length in range(m - 1, -1, -1):
-        here = cylinder_weight(s, length)
+        here = ring.cylinder(length)
         shapes: dict[tuple[int, int], int] = {}
-        level_values: list[AlgebraicWeight] = []
+        level_values: list[tuple[int, ...]] = []
         level_take: list[bool] = []
         for sigma in live[length]:
             key = (shape.get(sigma + "0", -1), shape.get(sigma + "1", -1))
@@ -159,8 +165,8 @@ def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> Measu
                 k = shapes[key] = len(level_values)
                 # live nodes below the top always have a live child
                 kids = [values[c] for c in key if c >= 0]
-                total = kids[0] + kids[1] if len(kids) == 2 else kids[0]
-                take = length >= n and here <= total
+                total = ring.add(*kids) if len(kids) == 2 else kids[0]
+                take = length >= n and ring.le(here, total)
                 level_values.append(here if take else total)
                 level_take.append(take)
             shape[sigma] = k
@@ -180,7 +186,7 @@ def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> Measu
                     if child in shape:
                         stack.append(child)
         witness = CoverSet(frozenset(chosen), n, m)
-    return MeasureValue(values[shape[""]], witness, m)
+    return MeasureValue(ring.weight(values[shape[""]]), witness, m)
 
 
 # -- independent brute-force oracle ---------------------------------------------

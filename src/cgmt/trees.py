@@ -229,6 +229,23 @@ class BlockMarking:
                         raise ShapeViolation(t, f"mark is not a binary string of length {length}")
                     raise Condition1Violation(t)
 
+    @classmethod
+    def derived(
+        cls, block: int, levels: tuple[frozenset[str], ...], restriction: bool = False
+    ) -> "BlockMarking":
+        """A marking the library derived from checked ones, without the shape check.
+
+        Only for levels built from a checked marking's levels by steps that
+        keep the shape (a cut, a filter that keeps parents with their
+        children, child expansion); data from outside goes through the
+        constructor.
+        """
+        marking = object.__new__(cls)
+        object.__setattr__(marking, "block", block)
+        object.__setattr__(marking, "levels", levels)
+        object.__setattr__(marking, "restriction", restriction)
+        return marking
+
     def marked_at(self, length: int) -> frozenset[str]:
         if not 0 <= length <= self.block:
             return frozenset()
@@ -241,7 +258,7 @@ class BlockMarking:
         """The same marks through a block no deeper than this one."""
         if not -1 <= block <= self.block:
             raise CgmtError(f"block {block} outside the marking's blocks -1..{self.block}")
-        return BlockMarking(block, self.levels[: block + 1], restriction=self.restriction)
+        return BlockMarking.derived(block, self.levels[: block + 1], self.restriction)
 
     def restrict(self, tau: str) -> "BlockMarking":
         check_bits(tau)

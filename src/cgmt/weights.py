@@ -6,10 +6,23 @@ is irreducible over the rationals, {1, u, ..., u^(q-1)} is linearly
 independent, so a weight is zero exactly when its reduced coefficient vector
 is zero and every comparison can be decided exactly.
 
-Comparisons use interval refinement: enclose u between dyadic rationals via
-integer q-th roots, evaluate the polynomial in interval arithmetic, and
-double the precision until the sign is resolved (termination is guaranteed
-by the linear independence above).
+Every sign goes through sign_of.  Coefficients of one sign settle it at
+once.  Mixed ones first meet a float filter (after Shewchuk 1997, "Adaptive
+precision floating-point arithmetic and fast robust geometric predicates"):
+the polynomial is evaluated in doubles, with powers of u rounded from a
+dyadic enclosure, and its sign is taken only when the value clears a proved
+bound of 2(q+5)*2^-53 times the sum of the terms' magnitudes (the proof is
+at _float_sign).  What the filter cannot decide falls back to interval
+refinement: enclose u between dyadic rationals via integer q-th roots,
+evaluate the polynomial in interval arithmetic, and double the precision
+until the sign is resolved (termination is guaranteed by the linear
+independence above).  The module counter `refinements` counts those
+fallbacks.
+
+ScaledRing is the integer kernel of one min/sum pass: with s and the deepest
+length fixed, every value of the pass is an int vector over a common power
+of two, sums are int sums, and AlgebraicWeight stays the type every value is
+exchanged in.
 """
 
 from __future__ import annotations
@@ -19,7 +32,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from operator import add, sub
+from typing import Optional, Union
 
 from .core import CgmtError, ParseError
 
@@ -76,6 +90,114 @@ def _interval_value(
             lo += r * p_hi
             hi += r * p_lo
     return lo, hi
+
+
+# unit roundoff of an IEEE double; below _TINY a double may leave the normal range
+_EPS = 2.0**-53
+_TINY = 2.0**-900
+
+# signs that the float filter left to interval refinement (read by tests and
+# benchmarks; no verdict depends on it)
+refinements = 0
+
+
+@lru_cache(maxsize=None)
+def _float_powers(q: int) -> Optional[tuple[float, ...]]:
+    """Doubles p_j with |p_j - u^j| <= 2*eps*p_j for j < q, or None.
+
+    Each p_j is the double nearest the lower end of a dyadic enclosure of
+    u^j; the bound is checked exactly against the enclosure, and a q whose
+    table fails the check (or whose sums are too long for the error bound)
+    gets no filter at all.
+    """
+    if q > 1 << 20:
+        return None
+    lo, hi = _root_enclosure(q, 64 + q.bit_length())
+    limit = 2 * Fraction(_EPS)
+    powers = []
+    for j in range(q):
+        a, b = lo**j, hi**j
+        p = float(a)
+        if max(abs(a - Fraction(p)), abs(b - Fraction(p))) > limit * Fraction(p):
+            return None
+        powers.append(p)
+    return tuple(powers)
+
+
+def _float_sign(coeffs: tuple, q: int) -> Optional[int]:
+    """The sign of sum_j coeffs[j] * u^j when a double evaluation proves it.
+
+    coeffs are ints or Fractions, whose float() is correctly rounded.  With
+    eps = 2^-53, every nonzero f_j = fl(c_j) is at least 2^-900 and every
+    power p_j lies in [1/2, 1], so all roundings below are relative:
+    c_j = f_j(1+a_j), u^j = p_j(1+b_j) and f_j*p_j = t_j(1+h_j) with
+    |a_j|, |h_j| <= eps and |b_j| <= 2*eps, hence c_j*u^j = t_j(1+e_j) with
+    |e_j| <= 5*eps.  Summing the q products t_j in order errs by at most
+    g*sum|t_j|, g = (q-1)eps/(1-(q-1)eps), and the computed A = fl(sum|t_j|)
+    is at least (1-g)*sum|t_j|.  So the float sum S is within
+    (5*eps + g)/(1-g) * A <= fl(2(q+5)*eps * A) of the true value when
+    q <= 2^20, and |S| beyond that bound has the true value's sign.  A
+    coefficient too large for a double, one below 2^-900, or an infinite
+    sum leaves the sign undecided (None).
+    """
+    powers = _float_powers(q)
+    if powers is None:
+        return None
+    total = bound = 0.0
+    try:
+        for r, p in zip(coeffs, powers):
+            if r:
+                f = float(r)
+                if -_TINY < f < _TINY:
+                    return None
+                t = f * p
+                total += t
+                bound += abs(t)
+    except OverflowError:
+        return None
+    err = 2 * (q + 5) * _EPS * bound  # inf when the sums overflowed: no decision
+    if total > err:
+        return 1
+    if total < -err:
+        return -1
+    return None
+
+
+def _refine_sign(coeffs: tuple, q: int) -> int:
+    """The sign of a nonzero sum_j coeffs[j] * u^j by interval refinement."""
+    bits = 64
+    while bits <= _MAX_REFINE_BITS:
+        lo, hi = _interval_value(coeffs, q, bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+    raise CgmtError("sign refinement did not converge")
+
+
+def sign_of(coeffs: tuple, q: int) -> int:
+    """Exact sign of sum_j coeffs[j] * u^j, u = 2^(-1/q), coeffs ints or Fractions.
+
+    Coefficients of one sign settle it; mixed ones go to the float filter,
+    and what the filter cannot prove goes to interval refinement.
+    """
+    global refinements
+    positive = negative = False
+    for r in coeffs:
+        if r > 0:
+            positive = True
+        elif r < 0:
+            negative = True
+    if not negative:
+        return 1 if positive else 0
+    if not positive:
+        return -1
+    sgn = _float_sign(coeffs, q)
+    if sgn is None:
+        refinements += 1
+        sgn = _refine_sign(coeffs, q)
+    return sgn
 
 
 @dataclass(frozen=True)
@@ -180,23 +302,7 @@ class AlgebraicWeight:
     # -- comparisons ---------------------------------------------------------
 
     def sign(self) -> int:
-        if all(r == 0 for r in self.coeffs):
-            return 0
-        if all(r >= 0 for r in self.coeffs):
-            return 1
-        if all(r <= 0 for r in self.coeffs):
-            return -1
-        if self.q == 1:
-            return 1 if self.coeffs[0] > 0 else -1
-        bits = 64
-        while bits <= _MAX_REFINE_BITS:
-            lo, hi = _interval_value(self.coeffs, self.q, bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
-        raise CgmtError("sign refinement did not converge")
+        return sign_of(self.coeffs, self.q)
 
     def is_zero(self) -> bool:
         return self.q == 1 and self.coeffs[0] == 0
@@ -315,6 +421,40 @@ def string_weight(s_num: int, s_den: int, length: int) -> AlgebraicWeight:
 def cylinder_weight(s: Fraction, length: int) -> AlgebraicWeight:
     """2^(-s * length), the s-weight of one cylinder of the given length."""
     return _scaled_power(s.numerator, s.denominator, length)
+
+
+class ScaledRing:
+    """The weights of one min/sum pass as int vectors over a common 2^K.
+
+    With s = a/q and lengths up to m fixed, the cylinder weight
+    2^(-s*L) = 2^(-k) * u^r (a*L = k*q + r) is the vector with 2^(K-k) at
+    index r, K = floor(a*m/q): every value of the pass is sum_j v_j u^j / 2^K
+    with int v_j.  Sums are elementwise int sums, comparisons go through
+    sign_of, and weight() converts a vector back to its canonical
+    AlgebraicWeight once, at the end.
+    """
+
+    __slots__ = ("a", "q", "scale")
+
+    def __init__(self, s: Fraction, m: int):
+        self.a, self.q = s.numerator, s.denominator
+        self.scale = self.a * m // self.q
+
+    def cylinder(self, length: int) -> tuple[int, ...]:
+        k, r = divmod(self.a * length, self.q)
+        v = [0] * self.q
+        v[r] = 1 << (self.scale - k)
+        return tuple(v)
+
+    def add(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(add, x, y))
+
+    def le(self, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+        return sign_of(tuple(map(sub, x, y)), self.q) <= 0
+
+    def weight(self, v: tuple[int, ...]) -> AlgebraicWeight:
+        den = 1 << self.scale
+        return AlgebraicWeight._make(self.q, {j: Fraction(c, den) for j, c in enumerate(v)})
 
 
 def as_weight(x) -> AlgebraicWeight:

@@ -364,7 +364,7 @@ class TestCliCommands:
     def _tampered_cover_verify(self, capsys, tmp_path, tamper):
         doc = run_json(capsys, "besicovitch", "--tree", "full", "--s", "1/2",
                        "--c", "1", "--stages", "3")
-        tamper(doc["results"]["certificates"][-1]["levels"])
+        tamper(doc["results"]["certificates"][-1])
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run_cli(capsys, "cover-verify", "--certificate", str(path))
@@ -375,18 +375,34 @@ class TestCliCommands:
         return err
 
     def test_cover_verify_rejects_non_binary_mark(self, capsys, tmp_path):
-        def tamper(levels):
+        def tamper(cert):
+            levels = cert["levels"]
             levels[-1][0] = "2" * len(levels[-1][0])
 
         err = self._tampered_cover_verify(capsys, tmp_path, tamper)
         assert "not a binary string" in err
 
     def test_cover_verify_rejects_mark_without_parent(self, capsys, tmp_path):
-        def tamper(levels):
+        def tamper(cert):
+            levels = cert["levels"]
             levels[-2].remove(levels[-1][0][:-1])
 
         err = self._tampered_cover_verify(capsys, tmp_path, tamper)
         assert "unmarked parent" in err
+
+    def test_cover_verify_rejects_witness_block_past_levels(self, capsys, tmp_path):
+        def tamper(cert):
+            cert["upper"]["witness"]["block"] = 99
+
+        err = self._tampered_cover_verify(capsys, tmp_path, tamper)
+        assert "records levels only to block" in err
+
+    def test_cover_verify_rejects_lower_check_past_levels(self, capsys, tmp_path):
+        def tamper(cert):
+            cert["lower"]["checks"][0]["block"] = len(cert["levels"])
+
+        err = self._tampered_cover_verify(capsys, tmp_path, tamper)
+        assert "records levels only to block" in err
 
     @pytest.mark.parametrize(
         "field, value",

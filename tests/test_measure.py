@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from helpers_markings import pruned, random_marking, tree_of
@@ -30,7 +31,7 @@ from cgmt.trees import (
     rooted_tree,
     validate_code,
 )
-from cgmt.weights import AlgebraicWeight
+from cgmt.weights import AlgebraicWeight, ScaledRing
 
 W = AlgebraicWeight
 HALF = Fraction(1, 2)
@@ -170,18 +171,18 @@ def test_equal_subtrees_are_weighed_once(src, monkeypatch):
     block = 16
     marking = marking_of_source(src, block)
     counts = {"add": 0, "sign": 0}
-    add, sign = W.__add__, W.sign
 
-    def counted_add(self, other):
-        counts["add"] += 1
-        return add(self, other)
+    def counted(kind, fn):
+        def wrapper(*args):
+            counts[kind] += 1
+            return fn(*args)
 
-    def counted_sign(self):
-        counts["sign"] += 1
-        return sign(self)
+        return wrapper
 
-    monkeypatch.setattr(W, "__add__", counted_add)
-    monkeypatch.setattr(W, "sign", counted_sign)
+    monkeypatch.setattr(W, "__add__", counted("add", W.__add__))
+    monkeypatch.setattr(W, "sign", counted("sign", W.sign))
+    monkeypatch.setattr(ScaledRing, "add", counted("add", ScaledRing.add))
+    monkeypatch.setattr(ScaledRing, "le", counted("sign", ScaledRing.le))
     v = htilde(marking, HALF, 1)
     monkeypatch.undo()
     assert counts["add"] <= 4 * (block + 1), counts
@@ -220,6 +221,52 @@ def test_glued_markings_match_cover_check_and_oracle():
             assert htilde_bruteforce(marking, s, n).value == v.value, (marking, s, n)
             compared.add(block)
     assert compared == set(range(1, 8))
+
+
+def deep_marking(rng: random.Random, block: int) -> BlockMarking:
+    """A sparse marking of the full tree: a few random stems, each with a random bush below."""
+    bush = rng.randint(1, 6)
+    stems = {format(rng.getrandbits(block - bush), f"0{block - bush}b") for _ in range(rng.randint(1, 6))}
+    top = {
+        stem + x
+        for stem in stems
+        for x in (format(v, f"0{bush}b") for v in range(1 << bush))
+        if rng.random() < 0.6
+    } or {min(stems) + "0" * bush}
+    return BlockMarking(block, prefix_closure(top, block))
+
+
+def mp_min_cover(marking: BlockMarking, s: Fraction, n: int) -> mpmath.mpf:
+    """The min-cover recursion at 60 digits, independent of the exact ring."""
+    m = marking.block
+    live = prefix_closure(marking.marked_at(m), m)
+
+    def value(sigma: str) -> mpmath.mpf:
+        here = mpmath.power(2, -mpmath.mpf(s.numerator) * len(sigma) / s.denominator)
+        if len(sigma) == m:
+            return here
+        kids = sum(value(c) for c in (sigma + "0", sigma + "1") if c in live[len(sigma) + 1])
+        return min(here, kids) if len(sigma) >= n else kids
+
+    with mpmath.workdps(60):
+        return value("")
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 3), HALF, Fraction(2, 3), Fraction(1)])
+def test_deep_values_match_witness_weight_and_mpmath(s):
+    # blocks to 63 put 2^(s*63) into the ring's common denominator
+    rng = random.Random(f"deep-{s}")
+    for block in (20, 40, 63, 63):
+        n = rng.randint(0, 2)
+        marking = deep_marking(rng, block)
+        v = htilde(marking, s, n)
+        assert verify_marking_cover(v.witness, marking, n, s) == v.value
+        with mpmath.workdps(60):
+            exact = sum(
+                mpmath.mpf(r.numerator) / r.denominator * mpmath.power(2, mpmath.mpf(-j) / v.value.q)
+                for j, r in enumerate(v.value.coeffs)
+            )
+            assert abs(exact - mp_min_cover(marking, s, n)) < mpmath.mpf(10) ** -45
 
 
 # -- invariants -----------------------------------------------------------------
@@ -348,6 +395,18 @@ def test_measure_sequence_monotone():
         values = measure_sequence(src, HALF, 1, list(range(depth + 1)))
         for earlier, later in zip(values, values[1:]):
             assert earlier.value >= later.value
+
+
+def test_measure_sequence_checks_one_marking(monkeypatch):
+    # the cuts of the checked marking are not checked again
+    checks = []
+    post_init = BlockMarking.__post_init__
+    monkeypatch.setattr(
+        BlockMarking, "__post_init__", lambda self: checks.append(self.block) or post_init(self)
+    )
+    values = measure_sequence(full_tree(), HALF, 1, [3, 5, 8])
+    assert checks == [8]
+    assert [v.at_block for v in values] == [3, 5, 8]
 
 
 def test_measure_sequence_rejects_unsorted():

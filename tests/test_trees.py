@@ -288,3 +288,16 @@ def test_marking_partial_block():
     with pytest.raises(CgmtError):
         code.marking(2)
     assert code.marking().marked_at(1) == {"0"}
+
+
+def test_cut_equals_checked_construction():
+    rng = random.Random("cut")
+    for _ in range(30):
+        block = rng.randint(0, 7)
+        top = {format(rng.getrandbits(block), f"0{block}b") if block else "" for _ in range(5)}
+        marking = tree_of(top, block)
+        for b in range(-1, block + 1):
+            cut = marking.cut(b)
+            assert cut == BlockMarking(b, marking.levels[: b + 1], restriction=marking.restriction)
+    with pytest.raises(CgmtError):
+        marking.cut(block + 1)

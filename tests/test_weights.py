@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cgmt.weights as cgmt_weights
 from cgmt.core import CgmtError
-from cgmt.weights import AlgebraicWeight, Ordering, compare, string_weight
+from cgmt.weights import (
+    AlgebraicWeight,
+    Ordering,
+    ScaledRing,
+    _float_sign,
+    _refine_sign,
+    compare,
+    sign_of,
+    string_weight,
+)
 
 W = AlgebraicWeight
 HALF = Fraction(1, 2)
@@ -87,10 +97,16 @@ def test_comparison_operators():
 
 
 def test_close_comparison_forces_refinement():
-    # 2^(-1/2) against a 40-digit convergent of itself.
+    # 2^(-1/2) against a 40-digit convergent of itself: no double can
+    # separate them, so the float filter defers to interval refinement
     u = W.two_power(Fraction(-1, 2))
     approx = Fraction(7071067811865475244008443621048490392848, 10 ** 40)
+    before = cgmt_weights.refinements
     assert (u - W.from_rational(approx)).sign() == 1
+    assert cgmt_weights.refinements == before + 1
+    # a comparison a double can settle never reaches the refinement
+    assert (u - W.from_rational(Fraction(7, 10))).sign() == 1
+    assert cgmt_weights.refinements == before + 1
 
 
 def test_decimal_truncation():
@@ -154,3 +170,87 @@ def test_decimal_agrees_with_mpmath(w):
 def test_two_power_multiplies(e):
     w = W.two_power(e) * W.two_power(-e)
     assert w == W.from_rational(1)
+
+
+# -- the float filter ---------------------------------------------------------------
+
+
+def mp_sign(coeffs, q) -> int:
+    with mpmath.workdps(60):
+        v = mpmath.fsum(
+            mpmath.mpf(Fraction(r).numerator) / Fraction(r).denominator
+            * mpmath.power(2, mpmath.mpf(-j) / q)
+            for j, r in enumerate(coeffs)
+        )
+    return (v > 0) - (v < 0)
+
+
+@st.composite
+def near_ties(draw):
+    """Int vectors over q in {2, 3, 5} whose value is within about 2^-bits of 0."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    tail = [draw(st.integers(-(1 << 40), 1 << 40)) for _ in range(q - 1)]
+    bits = draw(st.integers(0, 90))
+    with mpmath.workdps(80):
+        rest = mpmath.fsum(c * mpmath.power(2, mpmath.mpf(-j) / q) for j, c in enumerate(tail, 1))
+        head = int(mpmath.nint(-rest * 2**bits)) + draw(st.integers(-2, 2))
+    return q, (head,) + tuple(c << bits for c in tail)
+
+
+@settings(max_examples=200)
+@given(near_ties())
+def test_filtered_sign_equals_refinement_and_mpmath(tie):
+    q, coeffs = tie
+    if not any(coeffs):
+        return
+    exact = mp_sign(coeffs, q)
+    assert exact != 0  # 1, u, ..., u^(q-1) are linearly independent
+    assert _refine_sign(coeffs, q) == exact
+    assert sign_of(coeffs, q) == exact
+    fractions = tuple(Fraction(c, 3 << 70) for c in coeffs)
+    assert sign_of(fractions, q) == exact
+    assert W._make(q, dict(enumerate(fractions))).sign() == exact
+
+
+@settings(max_examples=200)
+@given(near_ties())
+def test_float_filter_decides_only_correctly(tie):
+    q, coeffs = tie
+    got = _float_sign(coeffs, q)
+    assert got is None or got == mp_sign(coeffs, q)
+
+
+def test_float_filter_decides_clear_signs_and_defers_near_ties():
+    # 1000 * 2^(-1/3) = 793.7...
+    assert _float_sign((-793, 1000, 0), 3) == 1
+    assert _float_sign((794, -1000, 0), 3) == 1
+    assert _float_sign((793, -1000, 0), 3) == -1
+    # 40 digits of 2^(-1/2) against u: beyond double precision
+    approx = Fraction(7071067811865475244008443621048490392848, 10 ** 40)
+    assert _float_sign((-approx, Fraction(1)), 2) is None
+
+
+def test_float_filter_defers_out_of_range():
+    # too large for a double, and too small to stay in the normal range
+    huge = (-(3 << 1100), 4 << 1100, 0)
+    tiny = (Fraction(-3, 1 << 1000), Fraction(4, 1 << 1000), Fraction(0))
+    for coeffs in (huge, tiny):
+        assert _float_sign(coeffs, 3) is None
+        assert sign_of(coeffs, 3) == 1
+
+
+@pytest.mark.parametrize("s", [Fraction(0), Fraction(1, 3), HALF, Fraction(2, 3), Fraction(1), Fraction(7, 5)])
+def test_scaled_ring_matches_algebraic_weights(s):
+    m = 63
+    ring = ScaledRing(s, m)
+    total_v = ring.cylinder(m)
+    total_w = W.two_power(-s * m)
+    for length in range(m):
+        v = ring.cylinder(length)
+        w = W.two_power(-s * length)
+        assert ring.weight(v) == w
+        assert ring.le(v, total_v) == (w <= total_w)
+        assert ring.le(total_v, v) == (total_w <= w)
+        total_v = ring.add(total_v, v)
+        total_w = total_w + w
+        assert ring.weight(total_v) == total_w
