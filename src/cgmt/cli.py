@@ -9,7 +9,7 @@ Exit codes, one per error family:
 
   0  success
   1  command ran to completion with a negative verdict
-  2  usage error (argparse)
+  2  usage error (argparse), including an argument out of its range
   3  spec or input parse failure
   4  measure precondition failure
   5  no stable index inside the window
@@ -60,6 +60,7 @@ from .construct import (
 )
 from .gadgets import (
     GADGET_KINDS,
+    MAX_GADGET_DEPTH,
     InjectionTable,
     build_gadget,
     check_gadget,
@@ -80,6 +81,7 @@ from .report import (
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
+EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_PRECONDITION = 4
 EXIT_NO_STABLE = 5
@@ -135,6 +137,40 @@ def parse_int_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"bad integer list {text!r}") from exc
+
+
+# -- argument ranges, checked while parsing (a failure exits 2) ---------------------
+
+
+def int_in(lo: int, hi: Optional[int] = None):
+    """An argparse type: an integer in lo..hi (no upper end when hi is None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            span = f"in {lo}..{hi}" if hi is not None else f"at least {lo}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    return parse
+
+
+def table_values(text: str) -> tuple[int, ...]:
+    """An argparse type: comma-separated, pairwise distinct nonnegative integers."""
+    values = tuple(int_in(0)(v) for v in text.split(",") if v.strip() != "")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError("table values must be pairwise distinct")
+    return values
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error[2]` line, like every other failure."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error[{EXIT_USAGE}] ArgumentError: {self.prog}: {message}\n")
 
 
 # -- verification harness ---------------------------------------------------------
@@ -370,15 +406,11 @@ def _cmd_baire(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_gadget(args) -> tuple[dict, dict, int]:
-    try:
-        values = tuple(int(v) for v in args.table.split(",") if v.strip() != "")
-    except ValueError as exc:
-        raise ParseError(f"bad table {args.table!r}") from exc
-    table = InjectionTable(values)
+    table = InjectionTable(args.table)
     depth = args.depth if args.depth is not None else required_depth(args.kind, table)
     gadget = build_gadget(args.kind, table, depth)
     report = check_gadget(gadget, table)
-    inputs = {"kind": args.kind, "table": list(values), "depth": depth}
+    inputs = {"kind": args.kind, "table": list(args.table), "depth": depth}
     results = {
         "horizon": report.horizon,
         "rows": [{"n": n, "gadget": g, "direct": d} for n, g, d in report.rows],
@@ -413,7 +445,7 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cgmt",
         description="Exact Hausdorff premeasures and effective subset extraction on tree codes.",
     )
@@ -428,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub_parser("measure", "premeasure value sequence over blocks")
     _add_tree(p)
     p.add_argument("--s", required=True, help="dimension, a positive rational")
-    p.add_argument("--n", type=int, required=True, help="granularity")
-    p.add_argument("--depth", type=int, default=6, help="last block when --blocks is absent")
+    p.add_argument("--n", type=int_in(0), required=True, help="granularity")
+    p.add_argument("--depth", type=int_in(0), default=6, help="last block when --blocks is absent")
     p.add_argument("--blocks", default=None, help="comma-separated block list")
     _add_budget(p)
     p.set_defaults(handler=_cmd_measure)
@@ -442,22 +474,22 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub_parser(name, "interpolated subset with pinned block values")
         _add_tree(p)
         p.add_argument("--s", required=True)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=int_in(0), required=True)
         p.add_argument("--c", required=True, help="target value (rational or weight object)")
         p.add_argument("--eps", required=True, help="bracket width")
-        p.add_argument("--window", type=int, default=2)
+        p.add_argument("--window", type=int_in(0), default=2)
         _add_budget(p)
         p.set_defaults(handler=lambda a, _pruned=pruned: _cmd_extract(a, _pruned))
 
     p = sub_parser("thin", "force branches to baseline weight, keep the floor")
     _add_tree(p)
     p.add_argument("--s", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nu", type=int, default=None, help="committed prefix block (default n)")
+    p.add_argument("--n", type=int_in(0), required=True)
+    p.add_argument("--nu", type=int_in(0), default=None, help="committed prefix block (default n)")
     p.add_argument("--c", required=True)
     p.add_argument("--theta", required=True, help="slack per branch")
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--n0", type=int, default=0, help="granularity where c was certified")
+    p.add_argument("--window", type=int_in(0), default=2)
+    p.add_argument("--n0", type=int_in(0), default=0, help="granularity where c was certified")
     _add_budget(p)
     p.set_defaults(handler=_cmd_thin)
 
@@ -465,16 +497,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tree(p)
     p.add_argument("--s", required=True)
     p.add_argument("--c", required=True)
-    p.add_argument("--n0", type=int, default=0)
-    p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--n0", type=int_in(0), default=0)
+    p.add_argument("--stages", type=int_in(1), required=True)
+    p.add_argument("--window", type=int_in(0), default=2)
     _add_budget(p)
     p.set_defaults(handler=_cmd_besicovitch)
 
     p = sub_parser("lebesgue-path", "path through a tree of promised unit-dimension mass")
     _add_tree(p)
     p.add_argument("--c", required=True, help="promised mass")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=int_in(0), required=True)
     p.add_argument("--cap", type=int, default=None)
     _add_budget(p)
     p.set_defaults(handler=_cmd_lebesgue)
@@ -482,15 +514,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub_parser("baire", "extendible string meeting every open code")
     _add_tree(p)
     p.add_argument("--opens", required=True, help="JSON file: list of prefix lists")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=int_in(0), required=True)
     p.add_argument("--start", default="")
     p.add_argument("--cap", type=int, default=1_000_000)
     p.set_defaults(handler=_cmd_baire)
 
     p = sub_parser("gadget", "build one injection-range encoding and decode it")
     p.add_argument("--kind", required=True, choices=GADGET_KINDS)
-    p.add_argument("--table", required=True, help="comma-separated injection values")
-    p.add_argument("--depth", type=int, default=None, help="default: least decodable depth")
+    p.add_argument("--table", type=table_values, required=True,
+                   help="comma-separated, pairwise distinct nonnegative integers")
+    p.add_argument("--depth", type=int_in(1, MAX_GADGET_DEPTH), default=None,
+                   help="default: least decodable depth")
     p.set_defaults(handler=_cmd_gadget)
 
     p = sub_parser("verify-suite", "seeded DP-vs-enumeration comparison")

@@ -808,7 +808,9 @@ def lebesgue_path(
     Each bit is fixed by finding a level m at which one child cylinder plus
     everything outside the current cylinder weighs less than c; the path
     takes the other child.  Level weights come from the source's closed-form
-    extension counts when available, else from budgeted enumeration.
+    extension counts when available, else from budgeted enumeration.  The
+    weights are counts over 2^m, so the test is the exact integer comparison
+    (child + outside) * den(c) < num(c) * 2^m.
     """
     c = Fraction(c)
     if not 0 < c <= 1:
@@ -825,10 +827,10 @@ def lebesgue_path(
     for k in range(depth):
         step = None
         for m in range(k + 1, cap + 1):
-            scale = Fraction(1, 1 << m)
-            outside = (counts("", m) - counts(path, m)) * scale
+            outside = counts("", m) - counts(path, m)
+            bound = c.numerator << m
             for i in (0, 1):
-                if counts(path + str(i), m) * scale + outside < c:
+                if (counts(path + str(i), m) + outside) * c.denominator < bound:
                     step = (m, str(1 - i))
                     break
             if step is not None:

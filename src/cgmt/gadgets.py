@@ -48,6 +48,8 @@ GADGET_KINDS = (
 
 MAX_GADGET_DEPTH = 1 << 14
 
+_FLIP_BITS = str.maketrans("01", "10")
+
 
 @dataclass(frozen=True)
 class InjectionTable:
@@ -306,16 +308,18 @@ def smmin_weight(table: InjectionTable, sigma: str) -> AlgebraicWeight:
 
     A position n < |sigma| contributes 2^{-n-1} when sigma(n) = 0, or when
     sigma(n) = 1 and some k < min(|sigma|, horizon) has f(k) = n.  Values
-    are monotone decreasing along extensions: both triggers only grow.
+    are monotone decreasing along extensions: both triggers only grow.  The
+    deficit is built as one integer over 2^|sigma| whose bits are the
+    triggering positions, most significant first.
     """
     check_bits(sigma)
-    bound = min(len(sigma), table.horizon)
-    enumerated = {table.values[k] for k in range(bound)}
-    deficit = Fraction(0)
-    for n, bit in enumerate(sigma):
-        if bit == "0" or n in enumerated:
-            deficit += Fraction(1, 1 << (n + 1))
-    return AlgebraicWeight.from_rational(1 - deficit)
+    length = len(sigma)
+    triggers = int(sigma.translate(_FLIP_BITS) or "0", 2)
+    for k in range(min(length, table.horizon)):
+        n = table.values[k]
+        if n < length:
+            triggers |= 1 << (length - 1 - n)
+    return AlgebraicWeight.from_rational(Fraction((1 << length) - triggers, 1 << length))
 
 
 def eval_counterexample(sigma: str) -> AlgebraicWeight:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import CgmtError, ParseError, check_bits
@@ -38,6 +37,10 @@ class NotPrefixClosed(ParseError):
 
 
 BUILTIN_NAMES = ("full", "branch-left", "branch-right", "dyadic(p/q)")
+
+# characters an automatic source's run-state memo holds before it is cleared:
+# a few levels of short strings, or a few hundred strings along a deep path
+_RUN_MEMO_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -131,29 +134,65 @@ def _automatic_source(
 
     _check_prefix_closed(table, accepting, start)
     live = _live_states(table, accepting)
+    # recent strings and their run states, all validated binary strings
+    memo: dict[str, int] = {"": start}
+    held = 0  # characters in the memo's keys
 
     def run(sigma: str) -> int:
-        q = start
-        for bit in sigma:
-            q = table[q][bit == "1"]
+        """The state sigma reaches; CgmtError if sigma is not a binary string.
+
+        Probes along a path or across siblings resume from the memoized
+        state of sigma[:-1] and check only the new last bit.  A miss checks
+        all of sigma, walks from the start and memoizes the parent's state
+        as well as sigma's.
+        """
+        nonlocal held
+        if not isinstance(sigma, str):
+            check_bits(sigma)
+        q = memo.get(sigma)
+        if q is not None:
+            return q
+        head = sigma[:-1]
+        parent = memo.get(head) if sigma else None
+        resumed = parent is not None
+        if resumed:
+            if sigma[-1] not in "01":
+                check_bits(sigma)
+        else:
+            check_bits(sigma)
+            parent = start
+            for bit in head:
+                parent = table[parent][bit == "1"]
+        q = table[parent][sigma[-1] == "1"] if sigma else start
+        if held > _RUN_MEMO_CHARS:
+            memo.clear()
+            held = 0
+        if not resumed:
+            memo[head] = parent
+            held += len(head)
+        memo[sigma] = q
+        held += len(sigma)
         return q
 
     def member(sigma: str) -> bool:
-        check_bits(sigma)
         # prefix-closure is validated, so the final state decides
         return run(sigma) in accepting
 
     def extendible(sigma: str) -> bool:
-        check_bits(sigma)
         return run(sigma) in live
 
-    @lru_cache(maxsize=None)
+    # ways[r][q]: the number of length-r continuations from q that stay accepting
+    ways = [[int(q in accepting) for q in range(states)]]
+
     def paths(q: int, remaining: int) -> int:
-        if q not in accepting:
-            return 0
-        if remaining == 0:
-            return 1
-        return paths(table[q][0], remaining - 1) + paths(table[q][1], remaining - 1)
+        """Exact count of accepting length-remaining runs from q, from a table grown on demand."""
+        while len(ways) <= remaining:
+            prev = ways[-1]
+            ways.append([
+                prev[zero] + prev[one] if r in accepting else 0
+                for r, (zero, one) in enumerate(table)
+            ])
+        return ways[remaining][q]
 
     def count(tau: str, m: int) -> int:
         if m < len(tau) or not member(tau):

@@ -7,6 +7,7 @@ here are about plumbing: exact serialization, byte determinism, exit
 codes, and round-trips.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -25,6 +26,7 @@ from cgmt.cli import (
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_PROMISE,
+    EXIT_USAGE,
     EXIT_VALIDATION,
     EXIT_VERDICT,
     main,
@@ -531,6 +533,60 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["gadget", "--kind", "mystery", "--table", "1"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("lebesgue-path", "--tree", "full", "--c", "1", "--depth", "-3"),
+        ("measure", "--tree", "full", "--s", "1", "--n", "0", "--depth", "-2"),
+        ("measure", "--tree", "full", "--s", "1", "--n", "-1"),
+        ("extract", "--tree", "full", "--s", "1/2", "--n", "-1", "--c", "1", "--eps", "1/4"),
+        ("gadget", "--kind", "marker-tree", "--table", "1,1"),
+        ("gadget", "--kind", "column-tree", "--table", "1,2", "--depth", "0"),
+        ("gadget", "--kind", "column-tree", "--table", "1,2", "--depth", "100000"),
+    ])
+    def test_argument_out_of_range(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert info.value.code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error[2] ") and captured.err.count("\n") == 1
+
+
+# drawn like perfbench's `paths` workload: layers of 1, 2, 4, 4, 4, 4 accepting
+# states feeding a full sink (state 19), dead sink 20; a quarter of the
+# length-6 strings reach the full sink, so the mass is exactly 1/4
+LAYERED_MASS = {
+    "kind": "automatic",
+    "transitions": [[2, 1], [3, 6], [5, 4], [8, 9], [9, 8], [7, 20], [10, 8], [14, 13],
+                    [20, 13], [11, 13], [12, 14], [18, 15], [17, 16], [20, 18], [15, 20],
+                    [20, 19], [19, 19], [19, 19], [19, 20], [19, 19], [20, 20]],
+    "accepting": list(range(20)),
+    "start": 0,
+}
+
+
+class TestDeepLebesguePath:
+    """Linear-time probes: a deep path stays fast and its report stays the same.
+
+    The digests are of the reports written before the run-state memo and
+    the integer comparison; that code took 0.66 s at depth 2000 and 9.1 s
+    at depth 8000 on a 2-CPU host.
+    """
+
+    @pytest.mark.parametrize("depth, digest", [
+        (2000, "b1d7edeedf2552dd9b5d9c1147aa1ad6afbf0efe2516db1a13453b8a192c19f0"),
+        (8000, "484b4ab055360eb9d24071e30d33d679a2e9d80ba1abd00f49d937997882bbdc"),
+    ])
+    def test_time_bound_and_golden_report(self, capsys, monkeypatch, tmp_path, depth, digest):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mass.json").write_text(json.dumps(LAYERED_MASS), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "lebesgue-path", "--tree", "mass.json", "--c", "1/4",
+                                 "--depth", str(depth))
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK, err
+        assert elapsed < 3.0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerifySuiteHarness:

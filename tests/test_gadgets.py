@@ -247,6 +247,52 @@ class TestDeficitMin:
         assert (value - W(Fraction(1, 1 << k))).sign() < 0
 
 
+def deficit_weight_by_definition(table: InjectionTable, sigma: str) -> Fraction:
+    """1 minus the sum of 2^{-n-1} over the positions n that trigger, one Fraction at a time."""
+    enumerated = {table.values[k] for k in range(min(len(sigma), table.horizon))}
+    deficit = Fraction(0)
+    for n, bit in enumerate(sigma):
+        if bit == "0" or n in enumerated:
+            deficit += Fraction(1, 1 << (n + 1))
+    return 1 - deficit
+
+
+class TestDeficitAgainstDefinition:
+    def test_seeded_tables_and_strings(self):
+        rng = random.Random(23)
+        for _ in range(120):
+            horizon = rng.randrange(0, 300)
+            t = random_table(rng, horizon, 2 * horizon + 1)
+            length = rng.randrange(0, 601)
+            sigma = "".join(rng.choice("01") for _ in range(length))
+            assert exactly(smmin_weight(t, sigma), deficit_weight_by_definition(t, sigma))
+
+    def test_all_ones_and_flipped_probes(self):
+        # the probes _check_deficit_min makes, at its default depth and past it
+        rng = random.Random(29)
+        for horizon in (1, 17, 256):
+            t = random_table(rng, horizon, 2 * horizon)
+            depth = required_depth("deficit-min", t)
+            for length in (depth, depth + 1, 600):
+                ones = "1" * length
+                for n in {0, length // 2, length - 1}:
+                    flipped = ones[:n] + "0" + ones[n + 1 :]
+                    for sigma in (ones, flipped):
+                        assert exactly(smmin_weight(t, sigma), deficit_weight_by_definition(t, sigma))
+
+    def test_check_rows_match_definition(self):
+        rng = random.Random(31)
+        t = random_table(rng, 256, 512)
+        report = check_gadget(build_gadget("deficit-min", t, required_depth("deficit-min", t)), t)
+        expected = []
+        for n in range(t.horizon):
+            ones = "1" * max(report.depth, n + 1)
+            flipped = ones[:n] + "0" + ones[n + 1 :]
+            same = deficit_weight_by_definition(t, ones) == deficit_weight_by_definition(t, flipped)
+            expected.append((n, same, t.witness(n) is not None))
+        assert report.rows == tuple(expected) and report.ok
+
+
 class TestEvalCounterexample:
     def test_frozen_values(self):
         assert exactly(eval_counterexample("001"), Fraction(1, 4))

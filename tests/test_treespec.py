@@ -1,0 +1,153 @@
+"""Automatic specs: runs resumed from a memoized parent equal fresh runs.
+
+An automatic source memoizes the run states of recent strings, so that a
+probe whose parent it has seen costs one transition.  Every answer must
+still equal a walk of the automaton from its start state, whatever the
+order of the queries, and validation must not depend on the memo.
+"""
+
+import random
+
+import pytest
+
+from cgmt import treespec
+from cgmt.core import CgmtError
+from cgmt.treespec import spec_from_obj
+
+
+def layered_automaton(rng: random.Random, widths=(1, 2, 4, 4, 4, 4)) -> dict:
+    """Layers of accepting states feeding a full sink, with some bits to a dead sink."""
+    first = [sum(widths[:i]) for i in range(len(widths) + 2)]
+    full_sink = first[len(widths)]
+    dead = full_sink + 1
+    table: list[list[int]] = []
+    for i, width in enumerate(widths):
+        nxt = list(range(first[i + 1], first[i + 2])) if i + 1 < len(widths) else [full_sink]
+        spare = [dead if rng.random() < 1 / 4 else rng.choice(nxt) for _ in range(2 * width - len(nxt))]
+        targets = nxt + spare
+        rng.shuffle(targets)
+        table += [targets[2 * j : 2 * j + 2] for j in range(width)]
+    table += [[full_sink, full_sink], [dead, dead]]
+    return {"kind": "automatic", "transitions": table, "accepting": list(range(dead)), "start": 0}
+
+
+def cyclic_automaton(rng: random.Random, states: int = 7) -> dict:
+    """Accepting states with random transitions, a third of them sending one bit to a dead sink."""
+    dead = states
+    table = []
+    for _ in range(states):
+        row = [rng.randrange(states), rng.randrange(states)]
+        if rng.random() < 1 / 3:
+            row[rng.randrange(2)] = dead
+        table.append(row)
+    table.append([dead, dead])
+    return {"kind": "automatic", "transitions": table, "accepting": list(range(states)), "start": 0}
+
+
+class FreshWalk:
+    """The three oracles computed from the start state on every call."""
+
+    def __init__(self, spec: dict):
+        self.table = spec["transitions"]
+        self.accepting = set(spec["accepting"])
+        self.start = spec["start"]
+        # live: accepting states with an infinite run that stays accepting
+        live = set(self.accepting)
+        while True:
+            kept = {q for q in live if self.table[q][0] in live or self.table[q][1] in live}
+            if kept == live:
+                break
+            live = kept
+        self.live = live
+
+    def states(self, sigma: str) -> list[int]:
+        """The run's states on the prefixes of sigma, shortest first."""
+        run = [self.start]
+        for bit in sigma:
+            run.append(self.table[run[-1]][int(bit)])
+        return run
+
+    def state(self, sigma: str) -> int:
+        return self.states(sigma)[-1]
+
+    def member(self, sigma: str) -> bool:
+        return all(q in self.accepting for q in self.states(sigma))
+
+    def extendible(self, sigma: str) -> bool:
+        return self.member(sigma) and self.state(sigma) in self.live
+
+    def extension_count(self, tau: str, m: int) -> int:
+        if m < len(tau) or not self.member(tau):
+            return 0
+        counts = {self.state(tau): 1}
+        for _ in range(m - len(tau)):
+            nxt: dict[int, int] = {}
+            for q, ways in counts.items():
+                for r in self.table[q]:
+                    if r in self.accepting:
+                        nxt[r] = nxt.get(r, 0) + ways
+            counts = nxt
+        return sum(counts.values())
+
+
+def query_strings(rng: random.Random, fresh: FreshWalk) -> list[str]:
+    """Siblings, deeper probes, jumps back to short strings and long strings, interleaved."""
+    out: list[str] = []
+    level = [""]
+    for _ in range(9):
+        children = []
+        for sigma in level:
+            for child in (sigma + "0", sigma + "1"):
+                out.append(child)
+                if fresh.member(child):
+                    children.append(child)
+        level = rng.sample(children, min(len(children), 24))
+        out += ["".join(rng.choice("01") for _ in range(rng.randrange(4))) for _ in range(5)]
+    path = ""
+    for _ in range(300):
+        path += rng.choice("01")
+        out.append(path)
+        if rng.random() < 0.1:
+            out.append(path[: rng.randrange(len(path) + 1)])
+    out += ["".join(rng.choice("01") for _ in range(rng.randrange(100, 400))) for _ in range(10)]
+    return out
+
+
+@pytest.mark.parametrize("memo_chars", [None, 40])
+@pytest.mark.parametrize("kind", ["layered", "cyclic"])
+def test_resumed_runs_equal_fresh_runs(monkeypatch, kind, memo_chars):
+    # a 40-character memo is cleared every few probes and is shorter than most strings
+    if memo_chars is not None:
+        monkeypatch.setattr(treespec, "_RUN_MEMO_CHARS", memo_chars)
+    draw = layered_automaton if kind == "layered" else cyclic_automaton
+    for seed in range(6):
+        rng = random.Random(seed)
+        spec = draw(rng)
+        src = spec_from_obj(spec).source()
+        fresh = FreshWalk(spec)
+        for sigma in query_strings(rng, fresh):
+            assert src.member(sigma) == fresh.member(sigma), sigma
+            assert src.extendible(sigma) == fresh.extendible(sigma), sigma
+            m = len(sigma) + rng.randrange(6)
+            assert src.extension_count(sigma, m) == fresh.extension_count(sigma, m), (sigma, m)
+
+
+@pytest.mark.parametrize("bad", ["01x", "012", "01 ", "01\n", "0x1", "x"])
+def test_non_binary_string_raises_after_its_parent(bad):
+    # the parent of each bad string, or its binary prefix, is asked first
+    src = spec_from_obj(layered_automaton(random.Random(1))).source()
+    head = bad[:-1] if set(bad[:-1]) <= {"0", "1"} else bad[:1]
+    for oracle in (src.member, src.extendible, lambda s: src.extension_count(s, 8)):
+        oracle(head)
+        with pytest.raises(CgmtError):
+            oracle(bad)
+
+
+@pytest.mark.parametrize("bad", [None, 5, ("0", "1"), ["0"], b"01"])
+def test_non_string_raises(bad):
+    src = spec_from_obj(cyclic_automaton(random.Random(2))).source()
+    src.member("")
+    src.member("0")
+    for oracle in (src.member, src.extendible):
+        with pytest.raises(CgmtError):
+            oracle(bad)
