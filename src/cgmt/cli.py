@@ -38,6 +38,7 @@ from .trees import (
     TreeSource,
 )
 from .measure import (
+    BRUTEFORCE_MAX_BLOCK,
     DepthTooLarge,
     LengthViolation,
     NotACover,
@@ -132,13 +133,6 @@ def parse_dimension(text: str) -> Fraction:
     return s
 
 
-def parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ParseError(f"bad integer list {text!r}") from exc
-
-
 # -- argument ranges, checked while parsing (a failure exits 2) ---------------------
 
 
@@ -156,6 +150,14 @@ def int_in(lo: int, hi: Optional[int] = None):
         return value
 
     return parse
+
+
+def block_list(text: str) -> list[int]:
+    """An argparse type: comma-separated, strictly increasing nonnegative integers."""
+    blocks = [int_in(0)(v) for v in text.split(",") if v.strip() != ""]
+    if blocks != sorted(set(blocks)):
+        raise argparse.ArgumentTypeError("blocks must be strictly increasing")
+    return blocks
 
 
 def table_values(text: str) -> tuple[int, ...]:
@@ -243,7 +245,7 @@ def _tree(args) -> TreeSource:
 
 def _cmd_measure(args) -> tuple[dict, dict, int]:
     src = _tree(args)
-    blocks = parse_int_list(args.blocks) if args.blocks else list(range(args.n, args.depth + 1))
+    blocks = args.blocks or list(range(args.n, args.depth + 1))
     values = measure_sequence(src, parse_dimension(args.s), args.n, blocks, budget=args.budget)
     results = {"sequence": [measure_value_obj(v) for v in values]}
     inputs = {"tree": args.tree, "s": args.s, "n": args.n, "blocks": blocks}
@@ -441,7 +443,8 @@ def _add_tree(p: argparse.ArgumentParser) -> None:
 
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=1_000_000, help="work budget")
+    p.add_argument("--budget", type=int_in(0), default=1_000_000,
+                   help="strings held through the deepest block, root included")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True, help="dimension, a positive rational")
     p.add_argument("--n", type=int_in(0), required=True, help="granularity")
     p.add_argument("--depth", type=int_in(0), default=6, help="last block when --blocks is absent")
-    p.add_argument("--blocks", default=None, help="comma-separated block list")
+    p.add_argument("--blocks", type=block_list, default=None,
+                   help="comma-separated, strictly increasing block list")
     _add_budget(p)
     p.set_defaults(handler=_cmd_measure)
 
@@ -507,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tree(p)
     p.add_argument("--c", required=True, help="promised mass")
     p.add_argument("--depth", type=int_in(0), required=True)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int_in(0), default=None)
     _add_budget(p)
     p.set_defaults(handler=_cmd_lebesgue)
 
@@ -516,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--opens", required=True, help="JSON file: list of prefix lists")
     p.add_argument("--depth", type=int_in(0), required=True)
     p.add_argument("--start", default="")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int_in(0), default=1_000_000)
     p.set_defaults(handler=_cmd_baire)
 
     p = sub_parser("gadget", "build one injection-range encoding and decode it")
@@ -528,9 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gadget)
 
     p = sub_parser("verify-suite", "seeded DP-vs-enumeration comparison")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--block-max", dest="block_max", type=int, default=6)
-    p.add_argument("--n-max", dest="n_max", type=int, default=2)
+    p.add_argument("--trials", type=int_in(0), default=200)
+    p.add_argument("--block-max", dest="block_max", type=int_in(0, BRUTEFORCE_MAX_BLOCK),
+                   default=6)
+    p.add_argument("--n-max", dest="n_max", type=int_in(0), default=2)
     p.set_defaults(handler=_cmd_verify_suite)
 
     return parser
@@ -539,6 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "besicovitch" and args.stages <= args.n0:
+        parser.error(f"--stages must exceed --n0, got {args.stages} <= {args.n0}")
     try:
         inputs, results, code = args.handler(args)
         doc = ReportDocument(

@@ -33,7 +33,7 @@ from .trees import (
     ShapeViolation,
     SubtreeCodePrefix,
     TreeSource,
-    code_of_levels,
+    grow,
     leftmost_extension_path,
 )
 from .weights import AlgebraicWeight, as_weight, cylinder_weight
@@ -77,13 +77,15 @@ class PiecewiseCode:
     """Subtree code kept explicit through a working depth, ambient-backed above.
 
     The explicit part is a BlockMarking through the working depth
-    live_depth.  A longer string is marked iff its length-live_depth prefix
-    is marked and the ambient source accepts it, so deep blocks can be
-    materialized on demand without ever having been written down.
-    Instances are immutable by convention; refinement steps build new ones.
+    live_depth, checked by the constructor, every mark a member of the
+    source.  A longer string is marked iff its length-live_depth prefix is
+    marked and the ambient source accepts it, so deeper levels are never
+    given: trees.grow grows them from the top level on demand, and they are
+    kept after the explicit ones.  Instances are immutable by convention;
+    refinement steps build new ones.
     """
 
-    __slots__ = ("source", "explicit", "_tails")
+    __slots__ = ("source", "explicit", "_levels")
 
     def __init__(
         self,
@@ -101,7 +103,7 @@ class PiecewiseCode:
                     raise Condition2Violation(t)
         self.source = source
         self.explicit = explicit
-        self._tails: list[frozenset[str]] = [explicit.levels[live_depth]]
+        self._levels: list[frozenset[str]] = list(explicit.levels)
 
     @property
     def live_depth(self) -> int:
@@ -121,19 +123,11 @@ class PiecewiseCode:
     def top(self) -> frozenset[str]:
         return self.explicit.levels[self.live_depth]
 
-    def level(self, length: int) -> frozenset[str]:
-        """Marked strings of one length, materializing the tail if needed."""
+    def level(self, length: int, budget: Optional[int] = None) -> frozenset[str]:
+        """Marked strings of one length; budget bounds the strings through it."""
         if length < 0:
             raise CgmtError(f"negative length {length}")
-        if length <= self.live_depth:
-            return self.explicit.levels[length]
-        member = self.source.member
-        while len(self._tails) <= length - self.live_depth:
-            last = self._tails[-1]
-            self._tails.append(
-                frozenset(c for t in last for c in (t + "0", t + "1") if member(c))
-            )
-        return self._tails[length - self.live_depth]
+        return grow(self.source.member, self._levels, length, budget)[length]
 
     def marked(self, sigma: str) -> bool:
         length = len(sigma)
@@ -141,9 +135,11 @@ class PiecewiseCode:
             return sigma in self.explicit.levels[length]
         return sigma[: self.live_depth] in self.top() and self.source.member(sigma)
 
-    def marking(self, block: int) -> BlockMarking:
-        levels = tuple(self.level(length) for length in range(block + 1))
-        return BlockMarking(
+    def marking(self, block: int, budget: Optional[int] = None) -> BlockMarking:
+        """The code through block; budget bounds the strings it holds."""
+        levels = tuple(grow(self.source.member, self._levels, block, budget)[: block + 1])
+        # the checked explicit part plus a tail grown from its top level
+        return BlockMarking.derived(
             block, levels, restriction=self.restriction or not all(levels)
         )
 
@@ -156,14 +152,6 @@ class PiecewiseCode:
             name=f"{self.source.name}|{tau or 'root'}",
         )
         return PiecewiseCode(src, self.live_depth, explicit.levels, restriction=True)
-
-    def to_code_prefix(self, block: Optional[int] = None) -> SubtreeCodePrefix:
-        if block is None:
-            block = self.live_depth
-        return code_of_levels(
-            (self.level(length) for length in range(block + 1)),
-            restriction=self.restriction,
-        )
 
     def __repr__(self) -> str:
         return (
@@ -197,14 +185,6 @@ def _resolve_prefix(zc: PiecewiseCode, nu, enforce_floor: bool) -> int:
     if enforce_floor and block < zc.live_depth:
         raise CgmtError("interpolation must resume at or beyond the explicit working depth")
     return block
-
-
-def _marking_within_budget(zc: PiecewiseCode, block: int, budget: int) -> BlockMarking:
-    marking = zc.marking(block)
-    size = sum(len(level) for level in marking.levels)
-    if size > budget:
-        raise BudgetExceeded(f"marking at block {block} holds {size} strings (budget {budget})")
-    return marking
 
 
 # -- interpolation ------------------------------------------------------------------
@@ -292,9 +272,9 @@ def _interpolate_above_zero(
     while not (cylinder_weight(s, probe_block) * spread < half):
         probe_block += 1
     deep = probe_block + window
-    value = htilde(_marking_within_budget(zc, deep, budget), s, n, want_witness=False).value
+    value = htilde(zc.marking(deep, budget), s, n, want_witness=False).value
     if value.is_zero():
-        marking = _marking_within_budget(zc, deep + window, budget)
+        marking = zc.marking(deep + window, budget)
         values = tuple(
             (k, htilde(marking.cut(k), s, n, want_witness=False).value)
             for k in range(deep, deep + window + 1)
@@ -321,7 +301,7 @@ def _probe(
 ) -> Optional[InterpolationResult]:
     """Run the restore sweep with its top at level m; None if no index lands."""
     deep = m + window
-    big = _marking_within_budget(zc, deep, budget)
+    big = zc.marking(deep, budget)
     z_top = big.levels[m]
     if not z_top:
         raise PreconditionMeasure(f"the ambient tree dies before level {m}")
@@ -808,20 +788,25 @@ def lebesgue_path(
     Each bit is fixed by finding a level m at which one child cylinder plus
     everything outside the current cylinder weighs less than c; the path
     takes the other child.  Level weights come from the source's closed-form
-    extension counts when available, else from budgeted enumeration.  The
-    weights are counts over 2^m, so the test is the exact integer comparison
-    (child + outside) * den(c) < num(c) * 2^m.
+    extension counts when available, else from the tree's levels, grown
+    under the budget.  The weights are counts over 2^m, so the test is the
+    exact integer comparison (child + outside) * den(c) < num(c) * 2^m.
     """
     c = Fraction(c)
     if not 0 < c <= 1:
         raise CgmtError(f"the mass promise must lie in (0, 1], got {c}")
     if cap is None:
         cap = depth + 8
-    counts = src.extension_count
-    if counts is None:
-        counts = _enumerated_counts(src, budget)
     if not src.member(""):
         raise PromiseViolated(cap)
+    counts = src.extension_count
+    if counts is None:
+        code = PiecewiseCode(src, 0, (frozenset({""}),))
+
+        def counts(tau: str, m: int) -> int:
+            if m < len(tau):
+                return 0
+            return sum(1 for t in code.level(m, budget) if t.startswith(tau))
 
     path = ""
     for k in range(depth):
@@ -843,26 +828,3 @@ def lebesgue_path(
             # the qualifying side carries no mass, so the promise was false
             raise PromiseViolated(cap)
     return path
-
-
-def _enumerated_counts(src: TreeSource, budget: int) -> Callable[[str, int], int]:
-    levels: list[list[str]] = [[""]] if src.member("") else [[]]
-    total = 1
-
-    def counts(tau: str, m: int) -> int:
-        nonlocal total
-        while len(levels) <= m:
-            grown = [
-                c for t in levels[-1] for c in (t + "0", t + "1") if src.member(c)
-            ]
-            total += len(grown)
-            if total > budget:
-                raise BudgetExceeded(
-                    f"level enumeration passed {budget} strings; provide extension counts"
-                )
-            levels.append(grown)
-        if m < len(tau):
-            return 0
-        return sum(1 for t in levels[m] if t.startswith(tau))
-
-    return counts

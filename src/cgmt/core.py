@@ -9,18 +9,15 @@ so index 0 is the empty string and the strings of length L occupy indices
 describes exactly the strings of length <= n, which is the unit all the
 jump-level machinery works in.
 
-Index arithmetic is capped (default string length 63, so indices fit
-comfortably in a machine word even after squaring); the cap can be raised
-with the CGMT_DEPTH_CAP environment variable.
+Index arithmetic is capped at string length DEPTH_CAP = 63, so indices fit
+comfortably in a machine word even after squaring.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 
-DEFAULT_DEPTH_CAP = 63
-DEPTH_CAP_ENV = "CGMT_DEPTH_CAP"
+DEPTH_CAP = 63
 
 
 class CgmtError(Exception):
@@ -32,7 +29,7 @@ class ParseError(CgmtError):
 
 
 class DepthCapExceeded(CgmtError):
-    """Index or string length beyond the configured depth cap."""
+    """Index or string length beyond the depth cap."""
 
 
 class BudgetExceeded(CgmtError):
@@ -43,23 +40,9 @@ class PrefixTooShort(CgmtError):
     """A code prefix does not cover the requested block."""
 
 
-def depth_cap() -> int:
-    raw = os.environ.get(DEPTH_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DEPTH_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise CgmtError(f"bad {DEPTH_CAP_ENV} value: {raw!r}") from exc
-    if cap < 1:
-        raise CgmtError(f"{DEPTH_CAP_ENV} must be >= 1, got {cap}")
-    return cap
-
-
 def _check_length(length: int) -> None:
-    cap = depth_cap()
-    if length > cap:
-        raise DepthCapExceeded(f"string length {length} exceeds depth cap {cap}")
+    if length > DEPTH_CAP:
+        raise DepthCapExceeded(f"string length {length} exceeds depth cap {DEPTH_CAP}")
 
 
 def check_bits(s: str) -> None:

@@ -40,6 +40,7 @@ from .trees import (
 from .weights import AlgebraicWeight, ScaledRing, as_weight, cylinder_weight
 
 CASE2_WITNESS_CAP = 12
+BRUTEFORCE_MAX_BLOCK = 7
 DEFAULT_ENUM_BUDGET = 500_000
 
 
@@ -223,8 +224,8 @@ def htilde_bruteforce(
     """
     s = _exponent(s)
     m = marking.block
-    if m > 7:
-        raise DepthTooLarge(f"brute force limited to block 7, got {m}")
+    if m > BRUTEFORCE_MAX_BLOCK:
+        raise DepthTooLarge(f"brute force limited to block {BRUTEFORCE_MAX_BLOCK}, got {m}")
     if m < n:
         if n > CASE2_WITNESS_CAP:
             raise DepthTooLarge(f"short-prefix enumeration limited to n <= {CASE2_WITNESS_CAP}")
@@ -294,7 +295,7 @@ def measure_sequence(
 ) -> list[MeasureValue]:
     """htilde of the tree's own code at each requested block (blocks increasing).
 
-    budget bounds the number of strings enumerated for the deepest block.
+    budget bounds the strings held through the deepest block, root included.
     """
     if list(blocks) != sorted(set(blocks)):
         raise CgmtError("blocks must be strictly increasing")

@@ -5,7 +5,9 @@ membership callback on its tree of finite prefixes, optionally with an
 extendibility callback (does the node lie on an infinite path) and a
 closed-form per-level count.  Every finite tree in memory is a
 BlockMarking: one frozenset of marked strings per length, whose
-constructor is the one place a finite tree's shape is checked.
+constructor is the one place a finite tree's shape is checked.  grow is
+the one place levels are grown out of a membership oracle; what it grows
+is a tree by construction and is not checked again.
 
 Subset candidates inside an ambient tree are bit-string codes over the
 length-lex enumeration.  validate_code checks the marking discipline:
@@ -166,29 +168,43 @@ def dyadic_tree(p: int, k: int) -> TreeSource:
     return TreeSource(member=member, extendible=member, extension_count=count, name=f"dyadic:{p}/2^{k}")
 
 
-def levels_of_source(
-    src: TreeSource, depth: int, budget: Optional[int] = None
-) -> list[list[str]]:
-    """Members per level 0..depth, found by child expansion from the root.
+def grow(
+    member: Callable[[str], bool],
+    levels: list[frozenset[str]],
+    depth: int,
+    budget: Optional[int] = None,
+) -> list[frozenset[str]]:
+    """Grow levels in place through depth by child expansion, and return them.
 
-    Only children of discovered members are probed, so the result is
-    prefix-closed even against a sloppy callback.
+    levels holds the marks of lengths 0..len(levels)-1 and must not be
+    empty.  Each new level is the children of the last one that member
+    accepts; member is asked about nothing else, so the grown levels are
+    prefix-closed even against a sloppy callback.  The count of strings
+    held through depth, root included, is checked against the budget as
+    each string is found; past it, BudgetExceeded is raised and levels
+    keeps only its complete levels.
     """
-    if not src.member(""):
-        return [[] for _ in range(depth + 1)]
-    levels = [[""]]
-    seen = 1
-    for _ in range(depth):
-        nxt = []
+    held = sum(len(level) for level in levels[: depth + 1])
+    if budget is not None and held > budget:
+        raise BudgetExceeded(f"more than {budget} strings through block {depth}")
+    while len(levels) <= depth:
+        grown = []
         for s in levels[-1]:
             for c in (s + "0", s + "1"):
-                if src.member(c):
-                    nxt.append(c)
-                    seen += 1
-                    if budget is not None and seen > budget:
-                        raise BudgetExceeded(f"{src.name}: more than {budget} nodes to depth {depth}")
-        levels.append(nxt)
+                if member(c):
+                    grown.append(c)
+                    held += 1
+                    if budget is not None and held > budget:
+                        raise BudgetExceeded(f"more than {budget} strings through block {depth}")
+        levels.append(frozenset(grown))
     return levels
+
+
+def levels_of_source(
+    src: TreeSource, depth: int, budget: Optional[int] = None
+) -> list[frozenset[str]]:
+    """Members per level 0..depth, grown from the root (see grow)."""
+    return grow(src.member, [frozenset({""} if src.member("") else ())], depth, budget)[: depth + 1]
 
 
 # -- finite trees ---------------------------------------------------------------
@@ -233,12 +249,13 @@ class BlockMarking:
     def derived(
         cls, block: int, levels: tuple[frozenset[str], ...], restriction: bool = False
     ) -> "BlockMarking":
-        """A marking the library derived from checked ones, without the shape check.
+        """A marking the library grew or derived, without the shape check.
 
-        Only for levels built from a checked marking's levels by steps that
-        keep the shape (a cut, a filter that keeps parents with their
-        children, child expansion); data from outside goes through the
-        constructor.
+        Only for levels whose shape is already known: grown by grow, built
+        from a checked marking's levels by a step that keeps the shape (a
+        cut, a filter that keeps parents with their children), or checked
+        by an input's own parser.  Each caller says which in a comment.
+        Everything else from outside goes through the constructor.
         """
         marking = object.__new__(cls)
         object.__setattr__(marking, "block", block)
@@ -262,7 +279,8 @@ class BlockMarking:
 
     def restrict(self, tau: str) -> "BlockMarking":
         check_bits(tau)
-        return BlockMarking(
+        # a mark compatible with tau has a parent compatible with tau
+        return BlockMarking.derived(
             self.block,
             tuple(frozenset(s for s in level if compatible(s, tau)) for level in self.levels),
             restriction=True,
@@ -305,8 +323,9 @@ def prefix_closure(top: Iterable[str], depth: int) -> tuple[frozenset[str], ...]
 
 def marking_of_source(src: TreeSource, block: int, budget: Optional[int] = None) -> BlockMarking:
     """Canonical marking of the tree itself through the given block."""
-    levels = levels_of_source(src, block, budget)
-    return BlockMarking(block, levels, restriction=not all(levels))
+    levels = tuple(levels_of_source(src, block, budget))
+    # child expansion from {""} leaves every mark with its parent marked
+    return BlockMarking.derived(block, levels, restriction=not all(levels))
 
 
 # -- subset codes ---------------------------------------------------------------

@@ -105,7 +105,8 @@ def _explicit_source(members: Optional[Sequence[str]], depth: Optional[int]) -> 
         for s in sorted(levels[length]):
             if s[:-1] not in levels[length - 1]:
                 raise NotPrefixClosed(s)
-    return BlockMarking(depth, levels).to_source()
+    # the loops above are the one check of this input: binary, in depth, prefix-closed
+    return BlockMarking.derived(depth, tuple(map(frozenset, levels))).to_source()
 
 
 def _automatic_source(

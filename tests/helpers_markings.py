@@ -1,9 +1,9 @@
-"""Seeded random markings for the measure oracle battery, and finite trees from strings."""
+"""Shared test helpers: seeded random markings, finite trees from strings, seeded automata."""
 
 import random
 
 from cgmt.measure import count_covers
-from cgmt.trees import BlockMarking, prefix_closure
+from cgmt.trees import BlockMarking, TreeSource, prefix_closure
 
 ENUM_BUDGET = 20_000
 
@@ -21,6 +21,41 @@ def tree_of(strings, depth: int) -> BlockMarking:
 def pruned(t: BlockMarking) -> BlockMarking:
     """Exactly the marks with an extension at the marking's block."""
     return BlockMarking(t.block, prefix_closure(t.marked_at(t.block), t.block))
+
+
+def cyclic_automaton(rng: random.Random, states: int = 7) -> dict:
+    """Accepting states with random transitions, a third of them sending one bit to a dead sink."""
+    dead = states
+    table = []
+    for _ in range(states):
+        row = [rng.randrange(states), rng.randrange(states)]
+        if rng.random() < 1 / 3:
+            row[rng.randrange(2)] = dead
+        table.append(row)
+    table.append([dead, dead])
+    return {"kind": "automatic", "transitions": table, "accepting": list(range(states)), "start": 0}
+
+
+def grown_source(t: BlockMarking) -> TreeSource:
+    """Extend a truncation to an infinite tree: full growth above each leaf."""
+    live = pruned(t)
+    d = t.block
+
+    def member(s: str) -> bool:
+        return t.is_marked(s) if len(s) <= d else t.is_marked(s[:d])
+
+    def extendible(s: str) -> bool:
+        return live.is_marked(s) if len(s) <= d else t.is_marked(s[:d])
+
+    def count(tau: str, m: int) -> int:
+        if m <= d:
+            return sum(1 for x in t.marked_at(m) if x.startswith(tau))
+        if len(tau) >= d:
+            return (1 << (m - len(tau))) if member(tau) else 0
+        leaves = sum(1 for x in t.marked_at(d) if x.startswith(tau))
+        return leaves << (m - d)
+
+    return TreeSource(member=member, extendible=extendible, extension_count=count, name="grown")
 
 
 def random_marking(

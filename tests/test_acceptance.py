@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_markings import pruned, random_marking, tree_of
+from helpers_markings import grown_source, random_marking, tree_of
 
 from cgmt.cli import run_verify_suite
 from cgmt.construct import (
@@ -52,28 +52,6 @@ from cgmt.weights import AlgebraicWeight
 W = AlgebraicWeight
 F = Fraction
 ONE = W.from_rational(1)
-
-
-def grown_source(t: BlockMarking) -> TreeSource:
-    """Extend a truncation to an infinite tree: full growth above each leaf."""
-    live = pruned(t)
-    d = t.block
-
-    def member(s: str) -> bool:
-        return t.is_marked(s) if len(s) <= d else t.is_marked(s[:d])
-
-    def extendible(s: str) -> bool:
-        return live.is_marked(s) if len(s) <= d else t.is_marked(s[:d])
-
-    def count(tau: str, m: int) -> int:
-        if m <= d:
-            return sum(1 for x in t.marked_at(m) if x.startswith(tau))
-        if len(tau) >= d:
-            return (1 << (m - len(tau))) if member(tau) else 0
-        leaves = sum(1 for x in t.marked_at(d) if x.startswith(tau))
-        return leaves << (m - d)
-
-    return TreeSource(member=member, extendible=extendible, extension_count=count, name="grown")
 
 
 def counting_source(base: TreeSource) -> tuple[TreeSource, dict]:

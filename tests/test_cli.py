@@ -529,6 +529,23 @@ class TestCliExitCodes:
                                "--depth", "4")
         assert code == EXIT_VALIDATION
 
+    # the least passing budget is the count of strings held through the deepest
+    # block the command grows, root included (the same at the parent commit)
+    @pytest.mark.parametrize("least, argv", [
+        (31, ("extract", "--tree", "full", "--s", "1/2", "--n", "1", "--c", "1", "--eps", "1/4")),
+        (81, ("extract-pruned", "--tree", "dyadic(5/8)", "--s", "1/2", "--n", "1",
+              "--c", "1/2", "--eps", "1/8")),
+        (128, ("thin", "--tree", "full", "--s", "1/2", "--n", "1", "--c", "1", "--theta", "1/64")),
+        (129, ("besicovitch", "--tree", "full", "--s", "1/2", "--c", "1", "--stages", "3")),
+        (641, ("measure", "--tree", "dyadic(5/8)", "--s", "1/2", "--n", "1", "--depth", "9")),
+    ])
+    def test_budget_threshold(self, capsys, least, argv):
+        code, out, err = run_cli(capsys, *argv, "--budget", str(least - 1))
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("error[8] ") and err.count("\n") == 1
+        code, _, err = run_cli(capsys, *argv, "--budget", str(least))
+        assert code == EXIT_OK, err
+
     def test_usage_error_is_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["gadget", "--kind", "mystery", "--table", "1"])
@@ -542,6 +559,17 @@ class TestCliExitCodes:
         ("gadget", "--kind", "marker-tree", "--table", "1,1"),
         ("gadget", "--kind", "column-tree", "--table", "1,2", "--depth", "0"),
         ("gadget", "--kind", "column-tree", "--table", "1,2", "--depth", "100000"),
+        ("measure", "--tree", "full", "--s", "1", "--n", "0", "--budget", "-1"),
+        ("measure", "--tree", "full", "--s", "1", "--n", "0", "--blocks", "-1"),
+        ("measure", "--tree", "full", "--s", "1", "--n", "0", "--blocks", "3,2"),
+        ("measure", "--tree", "full", "--s", "1", "--n", "0", "--blocks", "2,a"),
+        ("lebesgue-path", "--tree", "full", "--c", "1", "--depth", "3", "--cap", "-1"),
+        ("baire", "--tree", "full", "--opens", "opens.json", "--depth", "3", "--cap", "-1"),
+        ("verify-suite", "--trials", "-1"),
+        ("verify-suite", "--block-max", "-1"),
+        ("verify-suite", "--block-max", "8"),
+        ("verify-suite", "--n-max", "-1"),
+        ("besicovitch", "--tree", "full", "--s", "1/2", "--c", "1", "--n0", "3", "--stages", "2"),
     ])
     def test_argument_out_of_range(self, capsys, argv):
         with pytest.raises(SystemExit) as info:

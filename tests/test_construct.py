@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_markings import pruned, tree_of
+from helpers_markings import grown_source, tree_of
 
 from cgmt.core import BudgetExceeded, CgmtError
 from cgmt.construct import (
@@ -32,11 +32,12 @@ from cgmt.construct import (
 )
 from cgmt.measure import PreconditionMeasure, htilde
 from cgmt.trees import (
-    BlockMarking,
     NotExtendible,
     TreeSource,
+    code_of_levels,
     dyadic_tree,
     full_tree,
+    levels_of_source,
     marking_of_source,
     rooted_tree,
     validate_code,
@@ -52,28 +53,6 @@ def W(x) -> AlgebraicWeight:
 
 def exactly(value: AlgebraicWeight, expected) -> bool:
     return (value - W(expected)).is_zero()
-
-
-def grown_source(t: BlockMarking) -> TreeSource:
-    """Extend a truncation to an infinite tree: full growth above each leaf."""
-    live = pruned(t)
-    d = t.block
-
-    def member(s: str) -> bool:
-        return t.is_marked(s) if len(s) <= d else t.is_marked(s[:d])
-
-    def extendible(s: str) -> bool:
-        return live.is_marked(s) if len(s) <= d else t.is_marked(s[:d])
-
-    def count(tau: str, m: int) -> int:
-        if m <= d:
-            return sum(1 for x in t.marked_at(m) if x.startswith(tau))
-        if len(tau) >= d:
-            return (1 << (m - len(tau))) if member(tau) else 0
-        leaves = sum(1 for x in t.marked_at(d) if x.startswith(tau))
-        return leaves << (m - d)
-
-    return TreeSource(member=member, extendible=extendible, extension_count=count, name="grown")
 
 
 def counting_source(base: TreeSource, forbid_counts: bool = True) -> tuple[TreeSource, dict]:
@@ -134,7 +113,7 @@ def test_restricted_code_filters():
 
 def test_code_prefix_roundtrip():
     zc = PiecewiseCode.root_of(full_tree())
-    cp = zc.to_code_prefix(2)
+    cp = code_of_levels(zc.marking(2).levels)
     assert cp.bits == "1111111"
     validate_code(cp.bits, full_tree())
 
@@ -233,7 +212,7 @@ def test_pruned_variant_child_condition():
     r = pruned_approx_subset(full_tree(), HALF, 1, 1, Fraction(1, 8))
     assert r.code.top() == {"00", "10"}
     assert all(exactly(v, 1) for _, v in r.values)
-    cp = r.code.to_code_prefix(r.code.live_depth + 2)
+    cp = code_of_levels(r.code.marking(r.code.live_depth + 2).levels)
     validate_code(cp.bits, full_tree(), pruned=True)
 
 
@@ -450,6 +429,12 @@ def test_lebesgue_enumerated_counts_route():
     assert lebesgue_path(bare, HALF, 8) == "01111111"
     with pytest.raises(BudgetExceeded):
         lebesgue_path(bare, HALF, 32, budget=50)
+    # the deepest level this run asks about is 8; branch-left holds 2^8 strings through it
+    held = sum(map(len, levels_of_source(bare, 8)))
+    assert held == 256
+    assert lebesgue_path(bare, HALF, 8, budget=held) == "01111111"
+    with pytest.raises(BudgetExceeded):
+        lebesgue_path(bare, HALF, 8, budget=held - 1)
 
 
 def test_lebesgue_rejects_bad_mass():

@@ -99,20 +99,11 @@ def test_block_prefix():
 
 
 def test_depth_cap_default():
-    assert core.depth_cap() == 63
+    assert core.DEPTH_CAP == 63
     with pytest.raises(DepthCapExceeded):
         index_of("0" * 64)
     with pytest.raises(DepthCapExceeded):
         string_at(1 << 64)
-
-
-def test_depth_cap_override(monkeypatch):
-    monkeypatch.setenv(core.DEPTH_CAP_ENV, "70")
-    s = "0" * 64
-    assert string_at(index_of(s)) == s
-    monkeypatch.setenv(core.DEPTH_CAP_ENV, "potato")
-    with pytest.raises(CgmtError):
-        core.depth_cap()
 
 
 def test_reject_non_binary():

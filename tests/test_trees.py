@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from helpers_markings import pruned, tree_of
+from helpers_markings import cyclic_automaton, pruned, tree_of
 
-from cgmt.core import CgmtError, iter_strings, string_at
+from cgmt.construct import PiecewiseCode
+from cgmt.core import CgmtError, compatible, iter_strings, string_at
 from cgmt import trees as tr
+from cgmt.treespec import spec_from_obj
 from cgmt.trees import (
     BlockMarking,
     Condition1Violation,
@@ -21,6 +23,7 @@ from cgmt.trees import (
     full_tree,
     leftmost_path,
     marking_of_source,
+    prefix_closure,
     restrict,
     rooted_tree,
     separable_from_pruned,
@@ -174,9 +177,104 @@ def test_source_conversion():
     assert marking_of_source(src, 3) == t
 
 
+def test_source_marking_before_block_zero_is_empty():
+    assert tr.levels_of_source(full_tree(), -1) == []
+    assert marking_of_source(full_tree(), -1) == BlockMarking.empty()
+
+
 def test_from_source_budget():
     with pytest.raises(tr.BudgetExceeded):
         marking_of_source(full_tree(), 8, budget=100)
+
+
+# -- grown trees ----------------------------------------------------------------
+
+GROWN_BLOCK = 14
+
+GROWN_SOURCES = {
+    "full": full_tree,
+    "branch-left": lambda: rooted_tree("0"),
+    "branch-right": lambda: rooted_tree("1"),
+    "dyadic(5/8)": lambda: dyadic_tree(5, 3),
+    "dyadic(3/4)": lambda: dyadic_tree(3, 2),
+    **{
+        f"automaton-{seed}": lambda seed=seed: spec_from_obj(
+            cyclic_automaton(random.Random(seed))
+        ).source()
+        for seed in (1401, 1402, 1403, 1404)
+    },
+}
+
+
+def members_through(src: TreeSource, block: int) -> tuple[frozenset[str], ...]:
+    """Every member of length <= block, by asking about every string."""
+    levels: list[set[str]] = [set() for _ in range(block + 1)]
+    for s in iter_strings(block):
+        if src.member(s):
+            levels[len(s)].add(s)
+    return tuple(map(frozenset, levels))
+
+
+def checked(marking: BlockMarking) -> BlockMarking:
+    return BlockMarking(marking.block, marking.levels, restriction=marking.restriction)
+
+
+@pytest.mark.parametrize("name", GROWN_SOURCES)
+def test_grown_markings_equal_the_checked_construction(name):
+    src = GROWN_SOURCES[name]()
+    grown = marking_of_source(src, GROWN_BLOCK)
+    assert checked(grown) == grown
+    assert grown.levels == members_through(src, GROWN_BLOCK)
+    code = PiecewiseCode.root_of(src)
+    assert code.marking(GROWN_BLOCK) == grown
+    for tau in ("0", "10", "0110"):
+        restricted = grown.restrict(tau)
+        assert checked(restricted) == restricted
+        assert restricted.levels == tuple(
+            frozenset(s for s in level if compatible(s, tau)) for level in grown.levels
+        )
+        via_code = code.restricted(tau).marking(GROWN_BLOCK)
+        assert checked(via_code) == via_code == restricted
+
+
+@pytest.mark.parametrize("seed", (1401, 1402, 1403, 1404))
+def test_grown_tail_of_an_explicit_code(seed):
+    # an explicit part through length 6, grown from its top by the ambient source
+    rng = random.Random(seed)
+    src = spec_from_obj(cyclic_automaton(rng)).source()
+    ambient = marking_of_source(src, GROWN_BLOCK)
+    top = {t for t in sorted(ambient.marked_at(6)) if rng.random() < 0.5}
+    explicit = prefix_closure(top, 6)
+    code = PiecewiseCode(src, 6, explicit)
+    grown = code.marking(GROWN_BLOCK)
+    assert checked(grown) == grown
+    assert grown.levels[:7] == explicit
+    for length in range(7, GROWN_BLOCK + 1):
+        assert grown.levels[length] == {t for t in ambient.marked_at(length) if t[:6] in top}
+
+
+def test_grow_asks_only_about_children_of_marks():
+    src = spec_from_obj(cyclic_automaton(random.Random(1405))).source()
+    asked = []
+    levels = tr.grow(lambda s: asked.append(s) or src.member(s), [frozenset({""})], 10)
+    children = [c for level in levels[:-1] for s in level for c in (s + "0", s + "1")]
+    assert sorted(asked) == sorted(children)
+    assert tuple(levels) == members_through(src, 10)
+
+
+def test_grow_budget_counts_every_string_held():
+    member = full_tree().member
+    # the full tree holds 1 + 2 + 4 + 8 = 15 strings through length 3, root included
+    assert sum(map(len, tr.grow(member, [frozenset({""})], 3, budget=15))) == 15
+    levels = [frozenset({""})]
+    with pytest.raises(tr.BudgetExceeded):
+        tr.grow(member, levels, 3, budget=14)
+    # the raise keeps the complete levels only
+    assert levels == list(marking_of_source(full_tree(), 2).levels)
+    # strings already held count as well, with nothing left to grow
+    with pytest.raises(tr.BudgetExceeded):
+        tr.grow(member, levels, 2, budget=6)
+    assert tr.grow(member, levels, 3) == list(marking_of_source(full_tree(), 3).levels)
 
 
 def test_dyadic_tree_counts():

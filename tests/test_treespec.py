@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+from helpers_markings import cyclic_automaton
+
 from cgmt import treespec
 from cgmt.core import CgmtError
 from cgmt.treespec import spec_from_obj
@@ -29,19 +31,6 @@ def layered_automaton(rng: random.Random, widths=(1, 2, 4, 4, 4, 4)) -> dict:
         table += [targets[2 * j : 2 * j + 2] for j in range(width)]
     table += [[full_sink, full_sink], [dead, dead]]
     return {"kind": "automatic", "transitions": table, "accepting": list(range(dead)), "start": 0}
-
-
-def cyclic_automaton(rng: random.Random, states: int = 7) -> dict:
-    """Accepting states with random transitions, a third of them sending one bit to a dead sink."""
-    dead = states
-    table = []
-    for _ in range(states):
-        row = [rng.randrange(states), rng.randrange(states)]
-        if rng.random() < 1 / 3:
-            row[rng.randrange(2)] = dead
-        table.append(row)
-    table.append([dead, dead])
-    return {"kind": "automatic", "transitions": table, "accepting": list(range(states)), "start": 0}
 
 
 class FreshWalk:
