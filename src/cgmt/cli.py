@@ -18,6 +18,7 @@ Exit codes, one per error family:
   8  explicit work budget exhausted
   9  validation failure (code discipline, covers, extendibility)
  10  other library error
+ 11  internal error: an exception that is not a library error (a bug)
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .core import BudgetExceeded, CgmtError, DepthCapExceeded
+from .core import BudgetExceeded, CgmtError, DepthCapExceeded, read_input
 from .weights import AlgebraicWeight
 from .trees import (
     BlockMarking,
@@ -91,6 +92,7 @@ EXIT_PROMISE = 7
 EXIT_BUDGET = 8
 EXIT_VALIDATION = 9
 EXIT_LIBRARY = 10
+EXIT_INTERNAL = 11
 
 _ERROR_FAMILIES = (
     (ParseError, EXIT_PARSE),
@@ -117,6 +119,8 @@ def parse_constant(text: str):
             return AlgebraicWeight.from_json_obj(json.loads(stripped))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad weight object {text!r}: {exc}") from exc
+        except RecursionError:
+            raise ParseError("bad weight object: nested too deeply") from None
     try:
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
@@ -253,11 +257,7 @@ def _cmd_measure(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_cover_verify(args) -> tuple[dict, dict, int]:
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad certificate file: {exc}") from exc
+    doc = read_input(args.certificate, "certificate file", json.loads)
     if isinstance(doc, dict) and "results" in doc:
         results = doc["results"]
         doc = results.get("certificates", []) if isinstance(results, dict) else None
@@ -371,11 +371,7 @@ def _cmd_lebesgue(args) -> tuple[dict, dict, int]:
 
 
 def _load_opens(path: str) -> list[list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad opens file: {exc}") from exc
+    doc = read_input(path, "opens file", json.loads)
     if not isinstance(doc, list) or not all(
         isinstance(code, list) and all(isinstance(p, str) for p in code) for code in doc
     ):
@@ -567,6 +563,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error[{EXIT_PARSE}] {type(exc).__name__}: {exc}\n")
         return EXIT_PARSE
+    except Exception as exc:
+        # exit 1 is a verdict, so a crash must not reach the interpreter's exit 1
+        sys.stderr.write(f"error[{EXIT_INTERNAL}] {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

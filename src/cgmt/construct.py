@@ -101,9 +101,32 @@ class PiecewiseCode:
             for t in level:
                 if not source.member(t):
                     raise Condition2Violation(t)
+        self._hold(source, explicit)
+
+    def _hold(self, source: TreeSource, explicit: BlockMarking) -> None:
         self.source = source
         self.explicit = explicit
         self._levels: list[frozenset[str]] = list(explicit.levels)
+
+    @classmethod
+    def derived(
+        cls,
+        source: TreeSource,
+        live_depth: int,
+        levels: tuple[frozenset[str], ...],
+        restriction: bool = False,
+    ) -> "PiecewiseCode":
+        """A code whose explicit marks the library derived from source, unchecked.
+
+        Only for levels that are a tree by construction and whose marks
+        source accepts because they were grown from it (or from a code over
+        it), as BlockMarking.derived asks; source is not asked about them
+        again.  Each caller says why in a comment.  Codes from outside data
+        go through the constructor and its condition-2 loop.
+        """
+        code = object.__new__(cls)
+        code._hold(source, BlockMarking.derived(live_depth, levels, restriction))
+        return code
 
     @property
     def live_depth(self) -> int:
@@ -118,7 +141,8 @@ class PiecewiseCode:
         """The ambient tree's own code, explicit only at the root."""
         if not source.member(""):
             raise CgmtError(f"{source.name}: the ambient tree is empty")
-        return cls(source, 0, (frozenset({""}),))
+        # the root, just accepted
+        return cls.derived(source, 0, (frozenset({""}),))
 
     def top(self) -> frozenset[str]:
         return self.explicit.levels[self.live_depth]
@@ -151,7 +175,8 @@ class PiecewiseCode:
             member=lambda s, _t=tau: compatible(s, _t) and member(s),
             name=f"{self.source.name}|{tau or 'root'}",
         )
-        return PiecewiseCode(src, self.live_depth, explicit.levels, restriction=True)
+        # this code's marks compatible with tau: members of src, parents kept
+        return PiecewiseCode.derived(src, self.live_depth, explicit.levels, restriction=True)
 
     def __repr__(self) -> str:
         return (
@@ -361,7 +386,8 @@ def _probe(
     bound = c_w + eps_w
     if not all(v < bound for _, v in window_values):
         return None
-    code = PiecewiseCode(
+    # levels of big, grown from zc, filtered with every mark's parent kept
+    code = PiecewiseCode.derived(
         zc.source, m, levels_for(top_at(index), m), restriction=zc.restriction
     )
     upper_block, upper = max(window_values, key=lambda kv: (kv[1], kv[0]))
@@ -484,7 +510,9 @@ def thinify(
             | refined.code.level(length)
             for length in range(new_depth + 1)
         )
-        current = PiecewiseCode(
+        # the union of two trees grown from current.source (the refined one
+        # over its restriction to tau) is a tree of its members
+        current = PiecewiseCode.derived(
             current.source, new_depth, merged, restriction=current.restriction
         )
         reports.append(

@@ -15,7 +15,10 @@ comfortably in a machine word even after squaring.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from typing import TypeVar
+
+T = TypeVar("T")
 
 DEPTH_CAP = 63
 
@@ -38,6 +41,27 @@ class BudgetExceeded(CgmtError):
 
 class PrefixTooShort(CgmtError):
     """A code prefix does not cover the requested block."""
+
+
+def read_input(path: str, what: str, parse: Callable[[str], T]) -> T:
+    """parse applied to the text of the UTF-8 file at path.
+
+    Every input file (tree spec, certificate, opens file) is read here, so
+    that anything it holds fails as a ParseError (exit 3): bytes that are
+    not UTF-8, a ValueError of the parse (json.JSONDecodeError among them),
+    and nesting past the interpreter's recursion limit.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    try:
+        return parse(text)
+    except RecursionError:
+        raise ParseError(f"{what} {path} is nested too deeply") from None
+    except ValueError as exc:
+        raise ParseError(f"bad {what}: {exc}") from exc
 
 
 def _check_length(length: int) -> None:

@@ -15,6 +15,13 @@ per level, however many strings are live.  Inside one call s and the block
 are fixed, so the sums and comparisons run on weights.ScaledRing's int
 vectors, and only the root value becomes an AlgebraicWeight.
 
+measure_sequence weighs a source on its state quotient (TreeSource.state):
+members of one length with equal states have equal subtrees, so one
+representative per (state, length) class stands for all of them, and the
+classes are fed to the same min/sum and witness walk as htilde's shapes.
+A tree whose source names states is never enumerated; a source without
+states is its own quotient, one class per member.
+
 htilde_bruteforce enumerates every cover literally ("cover here or delegate
 to both children") and exists only to check htilde against an independent
 route; it keeps AlgebraicWeight arithmetic throughout.  Since a cover's
@@ -32,10 +39,11 @@ from typing import Iterable, Optional
 from .core import BudgetExceeded, CgmtError
 from .trees import (
     BlockMarking,
+    StateQuotient,
     SubtreeCodePrefix,
     TreeSource,
-    marking_of_source,
     prefix_closure,
+    quotient_of_source,
 )
 from .weights import AlgebraicWeight, ScaledRing, as_weight, cylinder_weight
 
@@ -106,6 +114,11 @@ def _exponent(s) -> Fraction:
     return s
 
 
+def _check_granularity(n: int) -> None:
+    if n < 0:
+        raise CgmtError(f"granularity must be nonnegative, got {n}")
+
+
 def cover_weight(strings: Iterable[str], s) -> AlgebraicWeight:
     """Total s-weight sum of 2^(-s*|sigma|) over the given strings."""
     s = _exponent(s)
@@ -127,6 +140,10 @@ def _case2(s: Fraction, n: int, at_block: int) -> MeasureValue:
     return MeasureValue(value, witness, at_block)
 
 
+def _empty(n: int, m: int) -> MeasureValue:
+    return MeasureValue(AlgebraicWeight.zero(), CoverSet(frozenset(), n, m), m)
+
+
 def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> MeasureValue:
     """Exact min-weight cover value of the marking at dimension s, granularity n.
 
@@ -138,56 +155,94 @@ def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> Measu
     value and the witness are the same as a per-string evaluation's.
     """
     s = _exponent(s)
-    if n < 0:
-        raise CgmtError(f"granularity must be nonnegative, got {n}")
+    _check_granularity(n)
     m = marking.block
     if m < n:
         return _case2(s, n, m)
     top = marking.marked_at(m)
     if not top:
-        return MeasureValue(AlgebraicWeight.zero(), CoverSet(frozenset(), n, m), m)
+        return _empty(n, m)
 
     live = prefix_closure(top, m)
-    ring = ScaledRing(s, m)
-    # shape[sigma] numbers sigma's subtree among the distinct subtrees at its
-    # length; values (ring vectors) and take_here are indexed by those numbers
+    # shape[sigma] numbers sigma's subtree among the distinct subtrees at its length
     shape: dict[str, int] = dict.fromkeys(live[m], 0)
+    shapes: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for length in range(m - 1, -1, -1):
+        ids: dict[tuple[int, int], int] = {}
+        for sigma in live[length]:
+            key = (shape.get(sigma + "0", -1), shape.get(sigma + "1", -1))
+            shape[sigma] = ids.setdefault(key, len(ids))
+        shapes[length] = list(ids)
+    return _min_cover(shapes, s, n, m, want_witness)
+
+
+def _quotient_htilde(quotient: StateQuotient, s: Fraction, n: int, m: int) -> MeasureValue:
+    """htilde of the tree's marking through block m, from its state quotient.
+
+    The classes with a descendant at the block get shape ids as htilde's
+    strings do, so the value and the witness are htilde's.
+    """
+    if m < n:
+        return _case2(s, n, m)
+    # class number -> shape id, -1 for a class with no descendant at the block
+    shape = [0] * len(quotient.multiplicity[m])
+    if not shape:
+        return _empty(n, m)
+    shapes: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for length in range(m - 1, -1, -1):
+        ids: dict[tuple[int, int], int] = {}
+        level_shape = []
+        for zero, one in quotient.kids[length]:
+            key = (shape[zero] if zero >= 0 else -1, shape[one] if one >= 0 else -1)
+            level_shape.append(-1 if key == (-1, -1) else ids.setdefault(key, len(ids)))
+        shape = level_shape
+        shapes[length] = list(ids)
+    return _min_cover(shapes, s, n, m, want_witness=True)
+
+
+def _min_cover(
+    shapes: list[list[tuple[int, int]]], s: Fraction, n: int, m: int, want_witness: bool
+) -> MeasureValue:
+    """The min/sum over the shapes of a nonempty block-m tree, and its witness.
+
+    shapes[L] lists, for each shape id of length L < m in id order, the
+    shape ids of its children at length L+1 (-1 for a child with nothing at
+    the block); length m has the one leaf shape 0, and length 0 the root's
+    shape 0.  A node covers itself when its length is at least n and its
+    cylinder weighs no more than its children's total, ties taken here.
+    """
+    ring = ScaledRing(s, m)
     values = [ring.cylinder(m)]
     take_here: list[list[bool]] = [[] for _ in range(m)]
     for length in range(m - 1, -1, -1):
         here = ring.cylinder(length)
-        shapes: dict[tuple[int, int], int] = {}
         level_values: list[tuple[int, ...]] = []
-        level_take: list[bool] = []
-        for sigma in live[length]:
-            key = (shape.get(sigma + "0", -1), shape.get(sigma + "1", -1))
-            k = shapes.get(key)
-            if k is None:
-                k = shapes[key] = len(level_values)
-                # live nodes below the top always have a live child
-                kids = [values[c] for c in key if c >= 0]
-                total = ring.add(*kids) if len(kids) == 2 else kids[0]
-                take = length >= n and ring.le(here, total)
-                level_values.append(here if take else total)
-                level_take.append(take)
-            shape[sigma] = k
+        level_take = take_here[length]
+        for key in shapes[length]:
+            # live nodes below the top always have a live child
+            kids = [values[c] for c in key if c >= 0]
+            total = ring.add(*kids) if len(kids) == 2 else kids[0]
+            take = length >= n and ring.le(here, total)
+            level_values.append(here if take else total)
+            level_take.append(take)
         values = level_values
-        take_here[length] = level_take
 
     witness = None
     if want_witness:
+        # walk strings from the root, each with its shape id
         chosen: list[str] = []
-        stack = [""]
+        stack = [("", 0)]
         while stack:
-            sigma = stack.pop()
-            if len(sigma) == m or take_here[len(sigma)][shape[sigma]]:
+            sigma, k = stack.pop()
+            length = len(sigma)
+            if length == m or take_here[length][k]:
                 chosen.append(sigma)
             else:
-                for child in (sigma + "0", sigma + "1"):
-                    if child in shape:
-                        stack.append(child)
+                for bit, child in zip("01", shapes[length][k]):
+                    if child >= 0:
+                        stack.append((sigma + bit, child))
         witness = CoverSet(frozenset(chosen), n, m)
-    return MeasureValue(ring.weight(values[shape[""]]), witness, m)
+    return MeasureValue(ring.weight(values[0]), witness, m)
 
 
 # -- independent brute-force oracle ---------------------------------------------
@@ -295,14 +350,19 @@ def measure_sequence(
 ) -> list[MeasureValue]:
     """htilde of the tree's own code at each requested block (blocks increasing).
 
-    budget bounds the strings held through the deepest block, root included.
+    The tree is weighed on its state quotient, one representative per
+    (state, length) class; a source without states has one class per
+    member.  budget bounds the strings held through the deepest block, root
+    included: the sum of the classes' multiplicities.
     """
     if list(blocks) != sorted(set(blocks)):
         raise CgmtError("blocks must be strictly increasing")
     if not blocks:
         return []
-    marking = marking_of_source(src, max(blocks), budget)
-    return [htilde(marking.cut(b), s, n) for b in blocks]
+    s = _exponent(s)
+    _check_granularity(n)
+    quotient = quotient_of_source(src, max(blocks), budget)
+    return [_quotient_htilde(quotient, s, n, b) for b in blocks]
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 
 A closed subset of Cantor space is presented as a TreeSource: a pure
 membership callback on its tree of finite prefixes, optionally with an
-extendibility callback (does the node lie on an infinite path) and a
-closed-form per-level count.  Every finite tree in memory is a
-BlockMarking: one frozenset of marked strings per length, whose
-constructor is the one place a finite tree's shape is checked.  grow is
-the one place levels are grown out of a membership oracle; what it grows
-is a tree by construction and is not checked again.
+extendibility callback (does the node lie on an infinite path), a
+closed-form per-level count and a state naming each member's subtree.
+Every finite tree in memory is a BlockMarking: one frozenset of marked
+strings per length, whose constructor is the one place a finite tree's
+shape is checked.  grow is the one place levels are grown out of a
+membership oracle; what it grows is a tree by construction and is not
+checked again.  quotient_of_source grows one representative per (state,
+length) class instead; without states, every member is a class.
 
 Subset candidates inside an ambient tree are bit-string codes over the
 length-lex enumeration.  validate_code checks the marking discipline:
@@ -21,7 +23,7 @@ they carry a restriction flag instead of failing validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .core import (
     BudgetExceeded,
@@ -92,12 +94,22 @@ class TreeSource:
     operations that need it say so and fail without it.  extension_count,
     when present, gives the exact number of length-m members extending a
     string without enumeration (deep mass computations need it).
+
+    state, when present, names a hashable state of each member, and must
+    keep this contract: for two members of the same length with equal
+    states, each child is a member for both or for neither, and the members
+    among the children have equal states.  Members of one length with equal
+    states then have equal subtrees (the Myhill-Nerode quotient of the
+    tree), so value-level work can weigh one string per (state, length)
+    class.  Like extension_count, state is presentation data at the value
+    level: it never consults extendible.  It is asked only about members.
     """
 
     member: Callable[[str], bool]
     extendible: Optional[Callable[[str], bool]] = None
     extension_count: Optional[Callable[[str, int], int]] = None
     name: str = "tree"
+    state: Optional[Callable[[str], Hashable]] = None
 
     def require_extendible(self) -> Callable[[str], bool]:
         if self.extendible is None:
@@ -119,6 +131,7 @@ def full_tree() -> TreeSource:
         extendible=lambda s: True,
         extension_count=count,
         name="full",
+        state=lambda s: 0,
     )
 
 
@@ -135,8 +148,14 @@ def rooted_tree(root: str) -> TreeSource:
         base = max(len(tau), len(root))
         return 1 << (m - base) if m >= base else 1
 
+    def state(s: str) -> bool:
+        # below len(root) a level has one member; from there on every subtree is full
+        return len(s) >= len(root)
+
     name = {"0": "branch-left", "1": "branch-right"}.get(root, f"rooted:{root}")
-    return TreeSource(member=member, extendible=member, extension_count=count, name=name)
+    return TreeSource(
+        member=member, extendible=member, extension_count=count, name=name, state=state
+    )
 
 
 def dyadic_tree(p: int, k: int) -> TreeSource:
@@ -146,7 +165,7 @@ def dyadic_tree(p: int, k: int) -> TreeSource:
 
     def member(s: str) -> bool:
         if len(s) >= k:
-            return int(s[:k], 2) < p
+            return int(s[:k] or "0", 2) < p
         # survives iff the leftmost length-k extension is selected
         return (int(s, 2) << (k - len(s)) < p) if s else True
 
@@ -165,7 +184,15 @@ def dyadic_tree(p: int, k: int) -> TreeSource:
         hi = min(lo + (1 << (m - len(tau))), -(-p // (1 << (k - m))))
         return max(hi - lo, 0)
 
-    return TreeSource(member=member, extendible=member, extension_count=count, name=f"dyadic:{p}/2^{k}")
+    def state(s: str) -> bool:
+        # whether every length-k extension is selected, making the subtree full;
+        # a level has at most one member whose extensions straddle p
+        return len(s) >= k or (int(s or "0", 2) + 1) << (k - len(s)) <= p
+
+    return TreeSource(
+        member=member, extendible=member, extension_count=count, name=f"dyadic:{p}/2^{k}",
+        state=state,
+    )
 
 
 def grow(
@@ -185,8 +212,7 @@ def grow(
     keeps only its complete levels.
     """
     held = sum(len(level) for level in levels[: depth + 1])
-    if budget is not None and held > budget:
-        raise BudgetExceeded(f"more than {budget} strings through block {depth}")
+    _check_budget(held, budget, depth)
     while len(levels) <= depth:
         grown = []
         for s in levels[-1]:
@@ -194,10 +220,14 @@ def grow(
                 if member(c):
                     grown.append(c)
                     held += 1
-                    if budget is not None and held > budget:
-                        raise BudgetExceeded(f"more than {budget} strings through block {depth}")
+                    _check_budget(held, budget, depth)
         levels.append(frozenset(grown))
     return levels
+
+
+def _check_budget(held: int, budget: Optional[int], depth: int) -> None:
+    if budget is not None and held > budget:
+        raise BudgetExceeded(f"more than {budget} strings through block {depth}")
 
 
 def levels_of_source(
@@ -205,6 +235,64 @@ def levels_of_source(
 ) -> list[frozenset[str]]:
     """Members per level 0..depth, grown from the root (see grow)."""
     return grow(src.member, [frozenset({""} if src.member("") else ())], depth, budget)[: depth + 1]
+
+
+@dataclass(frozen=True)
+class StateQuotient:
+    """A tree through a depth, one node per (state, length) class of its members.
+
+    kids[L][k] holds, for class k of length L < depth, the class numbers
+    at length L+1 of its two children, -1 for a child that is not a
+    member.  multiplicity[L][k] is the number of members class k stands
+    for; a level with no class is empty.
+    """
+
+    kids: tuple[tuple[tuple[int, int], ...], ...]
+    multiplicity: tuple[tuple[int, ...], ...]
+
+
+def quotient_of_source(
+    src: TreeSource, depth: int, budget: Optional[int] = None
+) -> StateQuotient:
+    """The state quotient of src through depth, asking only member and state.
+
+    Each class keeps the first member found as its representative, and only
+    a representative's children are asked about: by the state contract the
+    children of every member of the class fall in the same classes.  The
+    count of members held through depth, root included, is the sum of the
+    multiplicities, the same count grow reaches; it is checked against the
+    budget as each level is added.  A source without states is its own
+    quotient: each member is the state of itself, a class of one.
+    """
+    member, state = src.member, src.state or (lambda s: s)
+    reps = [""] if member("") else []
+    mult = [1] * len(reps)
+    held = len(reps)
+    _check_budget(held, budget, depth)
+    kids, multiplicity = [], [tuple(mult)]
+    for _ in range(depth):
+        ids: dict[Hashable, int] = {}
+        next_reps: list[str] = []
+        next_mult: list[int] = []
+        level_kids = []
+        for rep, mu in zip(reps, mult):
+            pair = []
+            for c in (rep + "0", rep + "1"):
+                k = -1
+                if member(c):
+                    k = ids.setdefault(state(c), len(next_reps))
+                    if k == len(next_reps):
+                        next_reps.append(c)
+                        next_mult.append(0)
+                    next_mult[k] += mu
+                pair.append(k)
+            level_kids.append(tuple(pair))
+        held += sum(next_mult)
+        _check_budget(held, budget, depth)
+        kids.append(tuple(level_kids))
+        multiplicity.append(tuple(next_mult))
+        reps, mult = next_reps, next_mult
+    return StateQuotient(tuple(kids), tuple(multiplicity))
 
 
 # -- finite trees ---------------------------------------------------------------

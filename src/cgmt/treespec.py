@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import CgmtError, ParseError, check_bits
+from .core import CgmtError, ParseError, check_bits, read_input
 from .trees import BlockMarking, TreeSource, dyadic_tree, full_tree, rooted_tree
 
 
@@ -34,6 +34,10 @@ class NotPrefixClosed(ParseError):
     def __init__(self, witness: str):
         self.witness = witness
         super().__init__(f"not prefix-closed at {witness!r}")
+
+
+class UnknownBuiltin(ParseError):
+    """A builtin tree name that names no builtin."""
 
 
 BUILTIN_NAMES = ("full", "branch-left", "branch-right", "dyadic(p/q)")
@@ -86,7 +90,7 @@ def _builtin_source(name: Optional[str]) -> TreeSource:
     if name and name.startswith("dyadic(") and name.endswith(")"):
         p, k = _parse_dyadic(name[len("dyadic(") : -1])
         return dyadic_tree(p, k)
-    raise ParseError(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+    raise UnknownBuiltin(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}")
 
 
 def _explicit_source(members: Optional[Sequence[str]], depth: Optional[int]) -> TreeSource:
@@ -200,7 +204,10 @@ def _automatic_source(
             return 0
         return paths(run(tau), m - len(tau))
 
-    return TreeSource(member=member, extendible=extendible, extension_count=count, name="automatic")
+    # a member's run state fixes its subtree: the state contract holds
+    return TreeSource(
+        member=member, extendible=extendible, extension_count=count, name="automatic", state=run
+    )
 
 
 def _check_prefix_closed(table, accepting, start) -> None:
@@ -292,7 +299,8 @@ def spec_from_obj(obj: dict) -> TreeSpec:
             accepting=frozenset(accepting),
             start=start,
         )
-    raise ParseError(f"unknown spec kind {kind!r}; expected builtin, explicit, or automatic")
+    shown = repr(kind) if isinstance(kind, str) else f"of type {type(kind).__name__}"
+    raise ParseError(f"unknown spec kind {shown}; expected builtin, explicit, or automatic")
 
 
 def parse_spec_text(text: str) -> TreeSource:
@@ -302,7 +310,7 @@ def parse_spec_text(text: str) -> TreeSource:
         return _builtin_source(stripped)
     try:
         obj = json.loads(stripped)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return spec_from_obj(obj).source()
 
@@ -322,5 +330,10 @@ def parse_spec(path: str) -> TreeSource:
         except ParseError:
             pass
         raise ParseError(f"no such spec file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec_text(fh.read())
+    try:
+        return read_input(path, "spec file", parse_spec_text)
+    except UnknownBuiltin:
+        # the name is not echoed: it may be a whole file
+        raise ParseError(
+            f"spec file {path}: unknown builtin; known: {', '.join(BUILTIN_NAMES)}"
+        ) from None

@@ -38,13 +38,13 @@ from cgmt.gadgets import (
 from cgmt.measure import (
     htilde,
     htilde_bruteforce,
-    marking_of_source,
 )
 from cgmt.trees import (
     BlockMarking,
     TreeSource,
     dyadic_tree,
     full_tree,
+    marking_of_source,
     rooted_tree,
 )
 from cgmt.weights import AlgebraicWeight

@@ -21,6 +21,7 @@ import pytest
 from cgmt.cli import (
     EXIT_BUDGET,
     EXIT_DENSITY,
+    EXIT_INTERNAL,
     EXIT_NO_STABLE,
     EXIT_OK,
     EXIT_PARSE,
@@ -97,6 +98,12 @@ class TestTreeSpecBuiltins:
     def test_unknown_builtin(self):
         with pytest.raises(ParseError, match="unknown builtin"):
             parse_spec_text("cantor")
+
+    def test_dyadic_one_is_the_full_tree(self):
+        # dyadic(1) has k = 0: no string has a length-k prefix to read
+        src = parse_spec_text("dyadic(1)")
+        assert src.member("") and src.member("0110")
+        assert src.extension_count("", 4) == 16
 
 
 class TestTreeSpecExplicit:
@@ -615,6 +622,95 @@ class TestDeepLebesguePath:
         assert code == EXIT_OK, err
         assert elapsed < 3.0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# binary strings with no two consecutive ones
+NO_11 = {"kind": "automatic", "transitions": [[0, 1], [0, 2], [2, 2]], "accepting": [0, 1]}
+
+
+class TestDeepMeasure:
+    """measure weighs (state, length) classes, so its time does not follow the 2^depth strings."""
+
+    def test_depth_63_within_a_large_budget(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "no11.json").write_text(json.dumps(NO_11), encoding="utf-8")
+        start = time.perf_counter()
+        doc = run_json(capsys, "measure", "--tree", "no11.json", "--s", "1/2", "--n", "1",
+                       "--depth", "63", "--budget", str(10**20))
+        assert time.perf_counter() - start < 2.0
+        sequence = doc["results"]["sequence"]
+        assert len(sequence) == 63
+        # s = 1/2 is below the dimension, log2 of the golden ratio: from block 2 on
+        # the cheapest cover is "0" and "10", the only child of "1"
+        assert all(v["witness"] == ["0", "10"] for v in sequence[1:])
+        assert all(v["value"]["coeffs"] == ["1/2", "1"] for v in sequence[1:])
+
+    def test_depth_63_over_the_default_budget(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "no11.json").write_text(json.dumps(NO_11), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "measure", "--tree", "no11.json", "--s", "1/2",
+                                 "--n", "1", "--depth", "63")
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("error[8] ") and err.count("\n") == 1
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+class TestHostileInputFiles:
+    """Whatever an input file holds, it exits 3 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize("content, argv", [
+        (_nested(200_000), ("cover-verify", "--certificate", "f")),
+        (_nested(200_000), ("baire", "--tree", "full", "--opens", "f", "--depth", "3")),
+        ('{"kind": ' + _nested(200_000) + "}", ("measure", "--tree", "f", "--s", "1", "--n", "0")),
+        (b"\xff\xfe", ("measure", "--tree", "f", "--s", "1", "--n", "0")),
+        (b"\xff\xfe", ("cover-verify", "--certificate", "f")),
+        (b"\xff\xfe", ("baire", "--tree", "full", "--opens", "f", "--depth", "3")),
+        ("[" + "1" * 5000 + "]", ("cover-verify", "--certificate", "f")),
+    ], ids=["certificate-nested", "opens-nested", "spec-nested", "spec-not-utf8",
+            "certificate-not-utf8", "opens-not-utf8", "certificate-long-integer"])
+    def test_parse_error(self, capsys, monkeypatch, tmp_path, content, argv):
+        monkeypatch.chdir(tmp_path)
+        if isinstance(content, bytes):
+            (tmp_path / "f").write_bytes(content)
+        else:
+            (tmp_path / "f").write_text(content, encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error[3] ParseError: ") and err.count("\n") == 1
+        assert len(err) < 300
+
+    def test_nested_weight_argument(self, capsys):
+        code, out, err = run_cli(capsys, "extract", "--tree", "full", "--s", "1/2", "--n", "1",
+                                 "--c", '{"q": ' + _nested(50_000) + "}", "--eps", "1/4")
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error[3] ParseError: bad weight object: nested too deeply\n"
+
+    def test_unknown_builtin_file_names_the_path(self, tmp_path):
+        path = tmp_path / "tree.txt"
+        path.write_text("cantor " * 1000, encoding="utf-8")
+        with pytest.raises(ParseError, match="tree.txt: unknown builtin") as info:
+            parse_spec(str(path))
+        assert "cantor" not in str(info.value)
+        # the same for a JSON spec whose builtin name is long
+        path.write_text(json.dumps({"kind": "builtin", "name": "cantor " * 1000}))
+        with pytest.raises(ParseError, match="tree.txt: unknown builtin") as info:
+            parse_spec(str(path))
+        assert "cantor" not in str(info.value)
+
+    def test_crash_exits_11_not_1(self, capsys, monkeypatch):
+        # exit 1 is a negative verdict; an exception that is no library error is not one
+        def crash(*args, **kwargs):
+            raise ZeroDivisionError("a bug")
+
+        monkeypatch.setattr("cgmt.cli.measure_sequence", crash)
+        code, out, err = run_cli(capsys, "measure", "--tree", "full", "--s", "1", "--n", "0")
+        assert code == EXIT_INTERNAL == 11 and out == ""
+        assert err == "error[11] ZeroDivisionError: a bug\n"
 
 
 class TestVerifySuiteHarness:

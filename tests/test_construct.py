@@ -103,6 +103,27 @@ def test_code_rejects_bad_levels():
         PiecewiseCode(full_tree(), 1, (frozenset([""]),))
 
 
+def test_derived_codes_are_not_asked_again(monkeypatch):
+    # restrictions, sweep results and thinning merges are grown from their
+    # source, so building them asks the source (the jump oracle, on a pruned
+    # ambient) nothing; only codes from outside data take the checking constructor
+    src, calls = counting_source(full_tree())
+    code = PiecewiseCode(src, 4, marking_of_source(full_tree(), 4).levels)
+    assert calls["member"] == 31  # the constructor's check of outside levels
+    restricted = code.restricted("01")
+    assert calls["member"] == 31
+    assert restricted.level(4) == {s for s in code.level(4) if s.startswith("01")}
+
+    def checked(*args, **kwargs):
+        raise AssertionError("a code the library derived went through the check")
+
+    monkeypatch.setattr(PiecewiseCode, "__init__", checked)
+    src, calls = counting_source(full_tree())
+    _, certs = besicovitch_extract(src, HALF, 1, 0, 3)
+    assert all(cert.verify() for cert in certs)
+    assert calls["extendible"] > 0
+
+
 def test_restricted_code_filters():
     zc = PiecewiseCode.root_of(full_tree()).restricted("1")
     assert zc.restriction

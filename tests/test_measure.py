@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from helpers_markings import pruned, random_marking, tree_of
+from helpers_markings import cyclic_automaton, pruned, random_marking, tree_of
 
 from cgmt.core import BudgetExceeded, CgmtError
 from cgmt.measure import (
@@ -18,7 +19,6 @@ from cgmt.measure import (
     cover_weight,
     htilde,
     htilde_bruteforce,
-    marking_of_source,
     measure_sequence,
     verify_marking_cover,
 )
@@ -27,10 +27,13 @@ from cgmt.trees import (
     code_of_levels,
     dyadic_tree,
     full_tree,
+    marking_of_source,
     prefix_closure,
+    quotient_of_source,
     rooted_tree,
     validate_code,
 )
+from cgmt.treespec import spec_from_obj
 from cgmt.weights import AlgebraicWeight, ScaledRing
 
 W = AlgebraicWeight
@@ -398,15 +401,27 @@ def test_measure_sequence_monotone():
 
 
 def test_measure_sequence_checks_one_marking(monkeypatch):
-    # the grown marking and its cuts are not checked again
-    checks = []
+    # the only marking checked is the explicit spec's own, when it is parsed;
+    # measure_sequence weighs the quotient and builds no marking, with or
+    # without states
+    checks, derived = [], []
     post_init = BlockMarking.__post_init__
     monkeypatch.setattr(
         BlockMarking, "__post_init__", lambda self: checks.append(self.block) or post_init(self)
     )
-    values = measure_sequence(full_tree(), HALF, 1, [3, 5, 8])
-    assert checks == []
-    assert [v.at_block for v in values] == [3, 5, 8]
+    grown = BlockMarking.derived.__func__
+    monkeypatch.setattr(
+        BlockMarking, "derived",
+        classmethod(lambda cls, block, *a, **kw: derived.append(block) or grown(cls, block, *a, **kw)),
+    )
+    explicit = spec_from_obj(
+        {"kind": "explicit", "depth": 8, "members": ["", "0", "1", "01", "010", "0101"]}
+    ).source()
+    assert derived == [8]
+    for src in (full_tree(), enumerated(full_tree()), explicit):
+        values = measure_sequence(src, HALF, 1, [3, 5, 8])
+        assert [v.at_block for v in values] == [3, 5, 8]
+    assert checks == [] and derived == [8]
 
 
 def test_measure_sequence_rejects_unsorted():
@@ -451,3 +466,124 @@ def test_restriction_marking_zero():
     assert v.value == W.two_power(-1)
     gone = restrict(code, "000000")  # nothing marked that deep except prefixes
     assert htilde(gone.marking(), HALF, 0).value == W.two_power(-1)
+
+
+# -- the state quotient -------------------------------------------------------------
+
+THIRDS = Fraction(2, 3)
+# members of length 0, 1 and 2 only: the tree dies out before the block
+DIES = {"kind": "automatic", "transitions": [[1, 1], [2, 2], [3, 3], [3, 3]],
+        "accepting": [0, 1, 2], "start": 0}
+
+
+def enumerated(src):
+    """The same tree without its state callback: every member is its own class."""
+    return dataclasses.replace(src, state=None)
+
+
+def seeded_automata(count: int, block: int = 16, held=(1_000, 40_000)) -> list:
+    """Seeded 7-state automata holding held[0]..held[1] strings through the block."""
+    rng = random.Random("quotient")
+    found = []
+    for _ in range(1000):
+        src = spec_from_obj(cyclic_automaton(rng)).source()
+        if held[0] <= sum(src.extension_count("", m) for m in range(block + 1)) <= held[1]:
+            found.append(src)
+            if len(found) == count:
+                return found
+    raise AssertionError("too few seeded automata of the wanted size")
+
+
+def test_quotient_equals_enumeration_on_seeded_automata():
+    # value and witness at every block 0..16
+    blocks = list(range(17))
+    for src in seeded_automata(4):
+        marking = marking_of_source(enumerated(src), 16)
+        for s in (HALF, THIRDS, 1):
+            for n in (0, 1, 2):
+                want = [htilde(marking.cut(b), s, n) for b in blocks]
+                assert measure_sequence(src, s, n, blocks) == want, (src, s, n)
+
+
+@pytest.mark.parametrize("src", [
+    full_tree(), rooted_tree("0"), dyadic_tree(5, 3), dyadic_tree(3, 2),
+    spec_from_obj(DIES).source(),
+], ids=["full", "branch-left", "dyadic(5/8)", "dyadic(3/4)", "dies-out"])
+def test_quotient_equals_enumeration_on_builtins(src):
+    # value and witness, against htilde on the grown marking and against the
+    # quotient of one class per member
+    blocks = list(range(13))
+    marking = marking_of_source(enumerated(src), 12)
+    for s in (HALF, THIRDS, 1):
+        for n in (0, 1, 2):
+            want = [htilde(marking.cut(b), s, n) for b in blocks]
+            assert measure_sequence(src, s, n, blocks) == want
+            assert measure_sequence(enumerated(src), s, n, blocks) == want
+    # the strings held are the classes' multiplicities, the count grow reaches
+    quotient = quotient_of_source(src, 12)
+    levels = marking_of_source(enumerated(src), 12).levels
+    assert [sum(m) for m in quotient.multiplicity] == [len(level) for level in levels]
+
+
+def test_quotient_equals_bruteforce_to_block_7():
+    sources = [full_tree(), dyadic_tree(5, 3), spec_from_obj(DIES).source()]
+    sources += seeded_automata(3, block=7, held=(20, 200))
+    for src in sources:
+        marking = marking_of_source(enumerated(src), 7)
+        for s in (HALF, THIRDS, 1):
+            for n in (0, 1, 2):
+                blocks = [b for b in range(8) if count_covers(marking.cut(b), n) <= 20_000]
+                values = measure_sequence(src, s, n, blocks)
+                for b, v in zip(blocks, values):
+                    assert v.value == htilde_bruteforce(marking.cut(b), s, n).value, (src, s, n, b)
+
+
+@pytest.mark.parametrize("src", [
+    full_tree(), rooted_tree("101"), dyadic_tree(5, 3), dyadic_tree(7, 4),
+    spec_from_obj(DIES).source(), *seeded_automata(2, block=8, held=(50, 500)),
+], ids=["full", "rooted:101", "dyadic(5/8)", "dyadic(7/16)", "dies-out", "auto0", "auto1"])
+def test_state_contract(src):
+    # members of one length with equal states: the same children, in equal states
+    for level in marking_of_source(enumerated(src), 8).levels[:-1]:
+        seen = {}
+        for sigma in sorted(level):
+            kids = tuple(
+                src.state(c) if src.member(c) else None for c in (sigma + "0", sigma + "1")
+            )
+            assert seen.setdefault(src.state(sigma), kids) == kids, sigma
+
+
+def counting_state_source(base):
+    calls = {"member": 0, "extendible": 0, "extension_count": 0, "state": 0}
+
+    def counted(name):
+        fn = getattr(base, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    return dataclasses.replace(base, **{name: counted(name) for name in calls}), calls
+
+
+@pytest.mark.parametrize("s", [HALF, 1])
+def test_quotient_asks_only_member_and_state(s):
+    depth = 16
+    for base in seeded_automata(2):
+        src, calls = counting_state_source(base)
+        values = measure_sequence(src, s, 1, list(range(depth + 1)))
+        assert calls["extendible"] == 0 and calls["extension_count"] == 0
+        classes = max(map(len, quotient_of_source(base, depth).multiplicity))
+        witness = max(len(v.witness.strings) for v in values)
+        assert 0 < calls["member"] <= 2 * classes * depth + 2 * witness * depth, calls
+        assert calls["state"] <= calls["member"]
+
+
+def test_quotient_budget_stops_at_the_crossing_level():
+    # 127 strings through level 6 cross a budget of 100; nothing deeper is asked
+    src, calls = counting_state_source(full_tree())
+    with pytest.raises(BudgetExceeded, match="more than 100 strings through block 40"):
+        measure_sequence(src, HALF, 1, [40], budget=100)
+    assert calls["member"] == 1 + 2 * 6
