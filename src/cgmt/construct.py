@@ -7,7 +7,11 @@ branch can raise any block value by at most that branch's own weight, so the
 values seen along the sweep are monotone in the sweep index and a binary
 search per block finds the least index whose value reaches the target; the
 chosen index is then re-verified exactly on a window of consecutive blocks
-before anything is returned.
+before anything is returned.  The sweep's markings are never built: below
+the top level m a sweep marking is the code's own subtrees, so one
+measure.ShapeTable per probe gives each level-m subtree its shape id once
+per block, a sweep step climbs only its top strings to the root, and the
+binary search compares the root's ring vector with the target exactly.
 
 Everything else is built from that engine.  Thinning forces every length-n
 branch down to its baseline weight by re-interpolating the fat ones, the
@@ -25,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .core import BudgetExceeded, CgmtError, check_bits, compatible
-from .measure import MeasureBracket, PreconditionMeasure, htilde
+from .measure import MeasureBracket, PreconditionMeasure, ShapeTable, htilde
 from .trees import (
     BlockMarking,
     Condition2Violation,
@@ -336,60 +340,61 @@ def _probe(
         rho = t[:n_prime]
         if rho not in least or t < least[rho]:
             least[rho] = t
-    skeleton = set(least.values())
-    removed = sorted(z_top - skeleton, key=lambda t: (int(t[::-1], 2) if t else 0, t))
+    skeleton = sorted(least.values())
+    removed = sorted(z_top - set(skeleton), key=lambda t: (int(t[::-1], 2) if t else 0, t))
     total = len(removed)
-    base = big.levels[: n_prime + 1]
+    table = ShapeTable(s, n, deep)
+    ring = table.ring
+    # per block, the shape id of each level-m subtree of big that reaches it;
+    # a sweep marking's levels below m are big's under its top, so these ids
+    # do not depend on the sweep index
+    below = {
+        block: table.climb(dict.fromkeys(big.levels[block], table.leaf(block)), block, m)
+        for block in range(m, deep + 1)
+    }
+    roots: dict[tuple[int, int], int] = {}
 
-    tops: dict[int, frozenset[str]] = {}
-    values: dict[tuple[int, int], AlgebraicWeight] = {}
+    def top_at(i: int) -> list[str]:
+        return skeleton + removed[:i]
 
-    def top_at(i: int) -> frozenset[str]:
-        got = tops.get(i)
+    def root_at(i: int, block: int) -> int:
+        """Shape id of the sweep marking at index i and block, -1 if it is empty there."""
+        got = roots.get((i, block))
         if got is None:
-            got = tops[i] = frozenset(skeleton) | frozenset(removed[:i])
+            live = below[block]
+            ids = {t: live[t] for t in top_at(i) if t in live}
+            got = roots[(i, block)] = table.climb(ids, m).get("", -1)
         return got
 
-    def levels_for(top: frozenset[str], block: int) -> tuple[frozenset[str], ...]:
-        levels = list(base)
-        for length in range(n_prime + 1, m + 1):
-            levels.append(frozenset(t[:length] for t in top))
-        for length in range(m + 1, block + 1):
-            levels.append(frozenset(t for t in big.levels[length] if t[:m] in top))
-        return tuple(levels)
-
-    def value_at(i: int, block: int) -> AlgebraicWeight:
-        got = values.get((i, block))
-        if got is None:
-            # built from the checked big: every mark's parent is marked
-            marking = BlockMarking.derived(block, levels_for(top_at(i), block), restriction=True)
-            got = values[(i, block)] = htilde(marking, s, n, want_witness=False).value
-        return got
+    def below_target(i: int, block: int) -> bool:
+        return ring.sign_against(table.vector(root_at(i, block)), c_w) < 0
 
     picks = []
     for block in range(m, deep + 1):
         # the full sweep is the ambient tree itself; below target means the
         # caller's lower-bound promise is false at this depth
-        if value_at(total, block) < c_w:
+        if below_target(total, block):
             raise PreconditionMeasure(f"ambient block value below the target at block {block}")
         lo, hi = 0, total
         while lo < hi:
             mid = (lo + hi) // 2
-            if value_at(mid, block) < c_w:
+            if below_target(mid, block):
                 lo = mid + 1
             else:
                 hi = mid
         picks.append(lo)
 
     index = max(picks)
-    window_values = tuple((block, value_at(index, block)) for block in range(m, deep + 1))
+    window_roots = [(block, root_at(index, block)) for block in range(m, deep + 1)]
     bound = c_w + eps_w
-    if not all(v < bound for _, v in window_values):
+    if not all(ring.sign_against(table.vector(root), bound) < 0 for _, root in window_roots):
         return None
+    window_values = tuple((block, table.weight(root)) for block, root in window_roots)
+    top = frozenset(top_at(index))
+    levels = list(big.levels[: n_prime + 1])
+    levels.extend(frozenset(t[:length] for t in top) for length in range(n_prime + 1, m + 1))
     # levels of big, grown from zc, filtered with every mark's parent kept
-    code = PiecewiseCode.derived(
-        zc.source, m, levels_for(top_at(index), m), restriction=zc.restriction
-    )
+    code = PiecewiseCode.derived(zc.source, m, tuple(levels), restriction=zc.restriction)
     upper_block, upper = max(window_values, key=lambda kv: (kv[1], kv[0]))
     bracket = MeasureBracket(c_w, upper, deep, upper_block)
     return InterpolationResult(code, bracket, m, index, window_values)

@@ -8,19 +8,23 @@ nodes; from length n up it is a min/sum dynamic program.  Short prefixes
 (block below n) carry no usable information and get the full level-n cover
 price 2^((1-s)*n) by convention.
 
-htilde is the production implementation.  A node's value depends only on its
-length and the shape of its subtree, so htilde weighs each distinct subtree
-shape once per length: on the full tree that is one sum and one comparison
-per level, however many strings are live.  Inside one call s and the block
-are fixed, so the sums and comparisons run on weights.ScaledRing's int
-vectors, and only the root value becomes an AlgebraicWeight.
+The min/sum rule lives in one place, ShapeTable.  A node's value depends
+only on its length and the shape of its subtree, so the table hash-conses
+shapes by (length, left id, right id) and weighs each new one once: on the
+full tree that is one sum and one comparison per level, however many
+strings are live.  With s fixed and the deepest block known, the sums and
+comparisons run on weights.ScaledRing's int vectors, and only a root value
+becomes an AlgebraicWeight.  The table's climb takes the shape ids of one
+level's strings up to their prefixes, so it walks exactly a top level's
+prefix closure; htilde is one climb from the block to the root, and the
+interpolation sweep of cgmt.construct keeps one table for a whole probe.
 
 measure_sequence weighs a source on its state quotient (TreeSource.state):
 members of one length with equal states have equal subtrees, so one
 representative per (state, length) class stands for all of them, and the
-classes are fed to the same min/sum and witness walk as htilde's shapes.
-A tree whose source names states is never enumerated; a source without
-states is its own quotient, one class per member.
+classes are interned in the same table as htilde's strings.  A tree whose
+source names states is never enumerated; a source without states is its
+own quotient, one class per member.
 
 htilde_bruteforce enumerates every cover literally ("cover here or delegate
 to both children") and exists only to check htilde against an independent
@@ -144,15 +148,118 @@ def _empty(n: int, m: int) -> MeasureValue:
     return MeasureValue(AlgebraicWeight.zero(), CoverSet(frozenset(), n, m), m)
 
 
+class ShapeTable:
+    """Hash-consed subtree shapes at fixed s and n, each weighed once.
+
+    A shape is interned under (length, left id, right id), -1 standing for
+    a child with nothing at the block; the leaf of block b is (b, -1, -1),
+    which no inner node shares because an inner node has a live child.  Nodes
+    with equal ids have equal subtrees, hence equal values and the same
+    choice between covering here and delegating.  A new shape is weighed
+    once, as an int vector of one ScaledRing at the deepest block the table
+    serves, by the min/sum rule: a node covers itself iff its length is at
+    least n and its cylinder weighs no more than its children's total, ties
+    taken here; a leaf always covers itself.  The take-here flags and child
+    ids are kept for the witness walk.
+    """
+
+    __slots__ = ("ring", "n", "_ids", "values", "take", "kids")
+
+    def __init__(self, s: Fraction, n: int, deep: int):
+        self.ring = ScaledRing(s, deep)
+        self.n = n
+        self._ids: dict[tuple[int, int, int], int] = {}
+        self.values: list[tuple[int, ...]] = []
+        self.take: list[bool] = []
+        self.kids: list[tuple[int, int]] = []
+
+    def shape(self, length: int, left: int, right: int) -> int:
+        """The id of the node at length with the given child ids, weighed if new."""
+        key = (length, left, right)
+        got = self._ids.get(key)
+        if got is not None:
+            return got
+        ring, values = self.ring, self.values
+        here = ring.cylinder(length)
+        if left < 0 and right < 0:
+            take, total = True, here
+        else:
+            if left >= 0 and right >= 0:
+                total = ring.add(values[left], values[right])
+            else:
+                total = values[max(left, right)]
+            take = length >= self.n and ring.le(here, total)
+        got = self._ids[key] = len(values)
+        values.append(here if take else total)
+        self.take.append(take)
+        self.kids.append((left, right))
+        return got
+
+    def leaf(self, block: int) -> int:
+        return self.shape(block, -1, -1)
+
+    def climb(self, ids: dict[str, int], length: int, stop: int = 0) -> dict[str, int]:
+        """Shape ids at length stop of the prefixes of ids' strings, all of the given length.
+
+        Only prefixes of the given strings appear: a climb from the top
+        level of a marking is its prefix closure, one level at a time.
+        """
+        # most nodes of a sweep step are already interned: their ids are
+        # read straight from the dict, saving a method call per node
+        known, shape = self._ids, self.shape
+        for parent_length in range(length - 1, stop - 1, -1):
+            zeros: dict[str, int] = {}
+            ones: dict[str, int] = {}
+            for sigma, k in ids.items():
+                if sigma[-1] == "0":
+                    zeros[sigma[:-1]] = k
+                else:
+                    ones[sigma[:-1]] = k
+            ids = {}
+            for sigma, zero in zeros.items():
+                key = (parent_length, zero, ones.pop(sigma, -1))
+                got = known.get(key)
+                ids[sigma] = shape(*key) if got is None else got
+            for sigma, one in ones.items():
+                key = (parent_length, -1, one)
+                got = known.get(key)
+                ids[sigma] = shape(*key) if got is None else got
+        return ids
+
+    def vector(self, root: int) -> tuple[int, ...]:
+        """The value of a shape id as the ring's int vector; -1 (nothing at the block) is 0."""
+        return self.values[root] if root >= 0 else (0,) * self.ring.q
+
+    def weight(self, root: int) -> AlgebraicWeight:
+        return self.ring.weight(self.vector(root))
+
+    def cover(self, root: int) -> list[str]:
+        """The strings the rule covers with, walked from the root of shape id root."""
+        chosen: list[str] = []
+        stack = [("", root)]
+        while stack:
+            sigma, k = stack.pop()
+            if self.take[k]:
+                chosen.append(sigma)
+            else:
+                for bit, child in zip("01", self.kids[k]):
+                    if child >= 0:
+                        stack.append((sigma + bit, child))
+        return chosen
+
+
+def _value(table: ShapeTable, root: int, n: int, m: int, want_witness: bool) -> MeasureValue:
+    witness = CoverSet(frozenset(table.cover(root)), n, m) if want_witness else None
+    return MeasureValue(table.weight(root), witness, m)
+
+
 def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> MeasureValue:
     """Exact min-weight cover value of the marking at dimension s, granularity n.
 
-    Working up from the block, each live node gets a shape id: leaves share
-    id 0, and an inner node's id is looked up from the ids of its children.
-    Nodes of one length with equal ids have equal subtrees, hence equal
-    values and the same choice between covering here and delegating, so the
-    exact sum and comparison run once per id, not once per string.  The
-    value and the witness are the same as a per-string evaluation's.
+    The top level's strings climb to the root through one ShapeTable, so
+    the exact sum and comparison run once per distinct subtree shape, not
+    once per string.  The value and the witness are the same as a
+    per-string evaluation's.
     """
     s = _exponent(s)
     _check_granularity(n)
@@ -162,18 +269,9 @@ def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> Measu
     top = marking.marked_at(m)
     if not top:
         return _empty(n, m)
-
-    live = prefix_closure(top, m)
-    # shape[sigma] numbers sigma's subtree among the distinct subtrees at its length
-    shape: dict[str, int] = dict.fromkeys(live[m], 0)
-    shapes: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for length in range(m - 1, -1, -1):
-        ids: dict[tuple[int, int], int] = {}
-        for sigma in live[length]:
-            key = (shape.get(sigma + "0", -1), shape.get(sigma + "1", -1))
-            shape[sigma] = ids.setdefault(key, len(ids))
-        shapes[length] = list(ids)
-    return _min_cover(shapes, s, n, m, want_witness)
+    table = ShapeTable(s, n, m)
+    root = table.climb(dict.fromkeys(top, table.leaf(m)), m)[""]
+    return _value(table, root, n, m, want_witness)
 
 
 def _quotient_htilde(quotient: StateQuotient, s: Fraction, n: int, m: int) -> MeasureValue:
@@ -184,65 +282,19 @@ def _quotient_htilde(quotient: StateQuotient, s: Fraction, n: int, m: int) -> Me
     """
     if m < n:
         return _case2(s, n, m)
+    table = ShapeTable(s, n, m)
     # class number -> shape id, -1 for a class with no descendant at the block
-    shape = [0] * len(quotient.multiplicity[m])
+    shape = [table.leaf(m)] * len(quotient.multiplicity[m])
     if not shape:
         return _empty(n, m)
-    shapes: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for length in range(m - 1, -1, -1):
-        ids: dict[tuple[int, int], int] = {}
         level_shape = []
         for zero, one in quotient.kids[length]:
-            key = (shape[zero] if zero >= 0 else -1, shape[one] if one >= 0 else -1)
-            level_shape.append(-1 if key == (-1, -1) else ids.setdefault(key, len(ids)))
+            left = shape[zero] if zero >= 0 else -1
+            right = shape[one] if one >= 0 else -1
+            level_shape.append(-1 if left < 0 and right < 0 else table.shape(length, left, right))
         shape = level_shape
-        shapes[length] = list(ids)
-    return _min_cover(shapes, s, n, m, want_witness=True)
-
-
-def _min_cover(
-    shapes: list[list[tuple[int, int]]], s: Fraction, n: int, m: int, want_witness: bool
-) -> MeasureValue:
-    """The min/sum over the shapes of a nonempty block-m tree, and its witness.
-
-    shapes[L] lists, for each shape id of length L < m in id order, the
-    shape ids of its children at length L+1 (-1 for a child with nothing at
-    the block); length m has the one leaf shape 0, and length 0 the root's
-    shape 0.  A node covers itself when its length is at least n and its
-    cylinder weighs no more than its children's total, ties taken here.
-    """
-    ring = ScaledRing(s, m)
-    values = [ring.cylinder(m)]
-    take_here: list[list[bool]] = [[] for _ in range(m)]
-    for length in range(m - 1, -1, -1):
-        here = ring.cylinder(length)
-        level_values: list[tuple[int, ...]] = []
-        level_take = take_here[length]
-        for key in shapes[length]:
-            # live nodes below the top always have a live child
-            kids = [values[c] for c in key if c >= 0]
-            total = ring.add(*kids) if len(kids) == 2 else kids[0]
-            take = length >= n and ring.le(here, total)
-            level_values.append(here if take else total)
-            level_take.append(take)
-        values = level_values
-
-    witness = None
-    if want_witness:
-        # walk strings from the root, each with its shape id
-        chosen: list[str] = []
-        stack = [("", 0)]
-        while stack:
-            sigma, k = stack.pop()
-            length = len(sigma)
-            if length == m or take_here[length][k]:
-                chosen.append(sigma)
-            else:
-                for bit, child in zip("01", shapes[length][k]):
-                    if child >= 0:
-                        stack.append((sigma + bit, child))
-        witness = CoverSet(frozenset(chosen), n, m)
-    return MeasureValue(ring.weight(values[0]), witness, m)
+    return _value(table, shape[0], n, m, want_witness=True)
 
 
 # -- independent brute-force oracle ---------------------------------------------

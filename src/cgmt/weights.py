@@ -430,8 +430,9 @@ class ScaledRing:
     2^(-s*L) = 2^(-k) * u^r (a*L = k*q + r) is the vector with 2^(K-k) at
     index r, K = floor(a*m/q): every value of the pass is sum_j v_j u^j / 2^K
     with int v_j.  Sums are elementwise int sums, comparisons go through
-    sign_of, and weight() converts a vector back to its canonical
-    AlgebraicWeight once, at the end.
+    sign_of, sign_against compares a vector with any AlgebraicWeight without
+    building the vector's weight, and weight() converts a vector back to its
+    canonical AlgebraicWeight once, at the end.
     """
 
     __slots__ = ("a", "q", "scale")
@@ -451,6 +452,27 @@ class ScaledRing:
 
     def le(self, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
         return sign_of(tuple(map(sub, x, y)), self.q) <= 0
+
+    def sign_against(self, v: tuple[int, ...], w: AlgebraicWeight) -> int:
+        """Exact sign of v/2^K - w, for any weight w, with one sign_of call.
+
+        Both sides are lifted to lcm(q, w.q) and the difference is
+        multiplied by 2^K times the common denominator of w's coefficients,
+        which leaves its sign alone and every coefficient an int.
+        """
+        q = self.q * w.q // math.gcd(self.q, w.q)
+        den = 1
+        for r in w.coeffs:
+            den = math.lcm(den, r.denominator)
+        coeffs = [0] * q
+        step = q // self.q
+        for j, c in enumerate(v):
+            coeffs[j * step] = c * den
+        step = q // w.q
+        scaled = den << self.scale
+        for j, r in enumerate(w.coeffs):
+            coeffs[j * step] -= r.numerator * (scaled // r.denominator)
+        return sign_of(tuple(coeffs), q)
 
     def weight(self, v: tuple[int, ...]) -> AlgebraicWeight:
         den = 1 << self.scale

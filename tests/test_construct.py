@@ -6,6 +6,7 @@ runs that were verified against independent DP recomputation, and pure
 error-path assertions.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,9 @@ from cgmt.construct import (
     thinify,
 )
 from cgmt.measure import PreconditionMeasure, htilde
+from cgmt.treespec import spec_from_obj
 from cgmt.trees import (
+    BlockMarking,
     NotExtendible,
     TreeSource,
     code_of_levels,
@@ -42,7 +45,7 @@ from cgmt.trees import (
     rooted_tree,
     validate_code,
 )
-from cgmt.weights import AlgebraicWeight
+from cgmt.weights import AlgebraicWeight, ScaledRing
 
 HALF = Fraction(1, 2)
 
@@ -275,6 +278,88 @@ def test_interpolate_random_brackets():
                 assert src.member(sigma)
         assert r.code.level(n) <= zc.level(n)
     assert stable >= 20, f"only {stable} stable runs ({unstable} unstable)"
+
+
+def sweep_marking(zc, n_prime: int, m: int, index: int, block: int) -> BlockMarking:
+    """The restore sweep's marking at one index and block, rebuilt level by level.
+
+    Skeleton: the least level-m string below each level-n_prime root; the
+    removed strings come back in bit-reversed order.  Levels through n_prime
+    are the code's own, n_prime+1..m the prefixes of the swept top, and the
+    deeper ones the code's strings below that top.  The checking
+    constructor sees every level.
+    """
+    ambient = zc.marking(block)
+    z_top = ambient.levels[m]
+    skeleton = {min(t for t in z_top if t.startswith(rho)) for rho in {t[:n_prime] for t in z_top}}
+    removed = sorted(z_top - skeleton, key=lambda t: (int(t[::-1], 2) if t else 0, t))
+    top = skeleton | set(removed[:index])
+    levels = list(ambient.levels[: n_prime + 1])
+    levels += [{t[:length] for t in top} for length in range(n_prime + 1, m + 1)]
+    levels += [{t for t in ambient.levels[length] if t[:m] in top} for length in range(m + 1, block + 1)]
+    return BlockMarking(block, levels, restriction=True)
+
+
+NO_11 = {"kind": "automatic", "transitions": [[0, 1], [0, 2], [2, 2]], "accepting": [0, 1]}
+SWEEP_CODES = {
+    "full": lambda: PiecewiseCode.root_of(full_tree()),
+    "dyadic(5/8)": lambda: PiecewiseCode.root_of(dyadic_tree(5, 3)),
+    "no-11": lambda: PiecewiseCode.root_of(spec_from_obj(NO_11).source()),
+    "restricted": lambda: PiecewiseCode.root_of(dyadic_tree(5, 3)).restricted("10"),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_CODES))
+@pytest.mark.parametrize("s", [Fraction(1, 3), HALF, Fraction(2, 3)], ids=str)
+def test_sweep_matches_materialized_markings(name, s):
+    # the sweep climbs shape ids and never builds its markings; rebuilding
+    # them here must give the reported values at the chosen index, and one
+    # step earlier some window block must still be below the target
+    rng = random.Random(f"{name} {s}")
+    zc = SWEEP_CODES[name]()
+    checked = 0
+    for _ in range(4):
+        n = rng.randint(0, 2)
+        n_prime = n + rng.randint(0, 2)
+        ceiling = htilde(zc.marking(n_prime + 6), s, n, want_witness=False).value
+        # a low target at s = 1/3 needs a top level near 20 on the full tree
+        c = ceiling * Fraction(rng.randint(3, 8), 8)
+        eps = ceiling * Fraction(1, 1 << rng.randint(2, 5))
+        try:
+            r = interpolate_subset(zc, n_prime, s, n, c, eps)
+        except NoStableIndex:
+            continue
+        checked += 1
+        m = r.top_level
+        assert r.code.top() == sweep_marking(zc, n_prime, m, r.restored, m).levels[m]
+        for block, value in r.values:
+            marking = sweep_marking(zc, n_prime, m, r.restored, block)
+            assert htilde(marking, s, n, want_witness=False).value == value
+        if r.restored > 0:
+            assert any(
+                htilde(sweep_marking(zc, n_prime, m, r.restored - 1, block), s, n).value < c
+                for block, _ in r.values
+            )
+    assert checked >= 2
+
+
+def test_sweep_weighs_shared_shapes_once(monkeypatch):
+    # one shape table per probe: a binary-search step pays ring work only
+    # for shapes no earlier step of the probe has weighed
+    counts = {"add": 0, "le": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            counts[kind] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ScaledRing, "add", counted("add", ScaledRing.add))
+    monkeypatch.setattr(ScaledRing, "le", counted("le", ScaledRing.le))
+    besicovitch_extract(full_tree(), HALF, 1, 0, 6)
+    monkeypatch.undo()
+    assert counts["add"] <= 1_000, counts
 
 
 # -- thinning ---------------------------------------------------------------------

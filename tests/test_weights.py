@@ -254,3 +254,29 @@ def test_scaled_ring_matches_algebraic_weights(s):
         total_v = ring.add(total_v, v)
         total_w = total_w + w
         assert ring.weight(total_v) == total_w
+
+
+@st.composite
+def ring_and_weight(draw):
+    """A ScaledRing, an int vector of it, and a weight w with q in {1, 2, 3, 5, 6}.
+
+    Half the time w lies within a small rational step of the vector's own
+    weight, so near ties and exact ties (step 0) come up often.
+    """
+    s = Fraction(draw(st.sampled_from(["0", "1/3", "1/2", "2/3", "3/4", "1", "7/5"])))
+    ring = ScaledRing(s, draw(st.integers(0, 40)))
+    v = tuple(draw(st.integers(-(1 << 50), 1 << 50)) for _ in range(ring.q))
+    if draw(st.booleans()):
+        step = draw(st.fractions(min_value=-1, max_value=1, max_denominator=1 << 60))
+        return ring, v, ring.weight(v) + W.from_rational(step)
+    q = draw(st.sampled_from([1, 2, 3, 5, 6]))
+    return ring, v, W._make(q, {j: draw(rationals) * (1 << 40) for j in range(q)})
+
+
+@settings(max_examples=300)
+@given(ring_and_weight())
+def test_ring_sign_against_agrees_with_weights(case):
+    ring, v, w = case
+    got = ring.sign_against(v, w)
+    assert got == (ring.weight(v) - w).sign()
+    assert (got < 0) == (ring.weight(v) < w)
