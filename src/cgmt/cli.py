@@ -30,8 +30,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .core import BudgetExceeded, CgmtError, DepthCapExceeded, read_input
-from .weights import AlgebraicWeight
+from .core import BudgetExceeded, CgmtError, read_input
+from .weights import AlgebraicWeight, as_weight
 from .trees import (
     BlockMarking,
     CodeViolation,
@@ -101,7 +101,6 @@ _ERROR_FAMILIES = (
     (DensityViolated, EXIT_DENSITY),
     (PromiseViolated, EXIT_PROMISE),
     (BudgetExceeded, EXIT_BUDGET),
-    (DepthCapExceeded, EXIT_VALIDATION),
     (DepthTooLarge, EXIT_VALIDATION),
     (NotACover, EXIT_VALIDATION),
     (LengthViolation, EXIT_VALIDATION),
@@ -154,6 +153,25 @@ def int_in(lo: int, hi: Optional[int] = None):
         return value
 
     return parse
+
+
+def constant_in(test, span: str):
+    """An argparse type: a constant (see parse_constant) for which test holds.
+
+    The text itself is kept, for the report.  Malformed text passes through
+    unchanged, so that the command's own parse rejects it (exit 3).
+    """
+
+    def check(text: str) -> str:
+        try:
+            value = as_weight(parse_constant(text))
+        except ParseError:
+            return text
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {span}, got {text}")
+        return text
+
+    return check
 
 
 def block_list(text: str) -> list[int]:
@@ -476,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", required=True)
         p.add_argument("--n", type=int_in(0), required=True)
         p.add_argument("--c", required=True, help="target value (rational or weight object)")
-        p.add_argument("--eps", required=True, help="bracket width")
+        p.add_argument("--eps", type=constant_in(lambda w: w.sign() > 0, "positive"),
+                       required=True, help="bracket width")
         p.add_argument("--window", type=int_in(0), default=2)
         _add_budget(p)
         p.set_defaults(handler=lambda a, _pruned=pruned: _cmd_extract(a, _pruned))
@@ -487,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int_in(0), required=True)
     p.add_argument("--nu", type=int_in(0), default=None, help="committed prefix block (default n)")
     p.add_argument("--c", required=True)
-    p.add_argument("--theta", required=True, help="slack per branch")
+    p.add_argument("--theta", type=constant_in(lambda w: w.sign() >= 0, "at least 0"),
+                   required=True, help="slack per branch")
     p.add_argument("--window", type=int_in(0), default=2)
     p.add_argument("--n0", type=int_in(0), default=0, help="granularity where c was certified")
     _add_budget(p)
@@ -505,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub_parser("lebesgue-path", "path through a tree of promised unit-dimension mass")
     _add_tree(p)
-    p.add_argument("--c", required=True, help="promised mass")
+    p.add_argument("--c", required=True, help="promised mass",
+                   type=constant_in(lambda w: w.sign() > 0 and w <= as_weight(1), "in (0, 1]"))
     p.add_argument("--depth", type=int_in(0), required=True)
     p.add_argument("--cap", type=int_in(0), default=None)
     _add_budget(p)

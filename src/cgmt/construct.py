@@ -35,7 +35,6 @@ from .trees import (
     Condition2Violation,
     NotExtendible,
     ShapeViolation,
-    SubtreeCodePrefix,
     TreeSource,
     grow,
     leftmost_extension_path,
@@ -197,20 +196,10 @@ def _as_code(z: Union[TreeSource, PiecewiseCode]) -> PiecewiseCode:
     raise CgmtError(f"expected a tree source or piecewise code, got {type(z).__name__}")
 
 
-def _resolve_prefix(zc: PiecewiseCode, nu, enforce_floor: bool) -> int:
-    """The block number of the requested prefix, checked against the code."""
-    if isinstance(nu, SubtreeCodePrefix):
-        block = nu.validated_block
-        if block is None:
-            raise CgmtError("requested prefix carries no complete block")
-        want = tuple(nu.marking().levels)
-        got = tuple(zc.level(length) for length in range(block + 1))
-        if want != got:
-            raise CgmtError("requested prefix disagrees with the ambient code")
-    else:
-        block = int(nu)
-        if block < 0:
-            raise CgmtError(f"prefix block must be nonnegative, got {block}")
+def _resolve_prefix(zc: PiecewiseCode, block: int, enforce_floor: bool) -> int:
+    """The block of the committed prefix, checked against the code."""
+    if block < 0:
+        raise CgmtError(f"prefix block must be nonnegative, got {block}")
     if enforce_floor and block < zc.live_depth:
         raise CgmtError("interpolation must resume at or beyond the explicit working depth")
     return block
@@ -232,7 +221,7 @@ class InterpolationResult:
 
 def interpolate_subset(
     z: Union[TreeSource, PiecewiseCode],
-    nu,
+    nu: int,
     s,
     n: int,
     c,
@@ -242,10 +231,9 @@ def interpolate_subset(
 ) -> InterpolationResult:
     """Refine z above the prefix nu until block values land in [c, c+eps).
 
-    The prefix is given as a block number (the code through that block is
-    taken from z itself) or as an explicit code prefix that must agree with
-    z.  Values are verified exactly at every block of the verification
-    window; deeper levels of the result delegate to the ambient source.
+    The prefix is the code z itself through block nu; it is kept as it is.
+    Values are verified exactly at every block of the verification window;
+    deeper levels of the result delegate to the ambient source.
     """
     zc = _as_code(z)
     s = Fraction(s)
@@ -268,7 +256,7 @@ def interpolate_subset(
     if c_w.is_zero():
         return _interpolate_above_zero(zc, n_prime, s, n, eps_w, window, budget)
 
-    roots = zc.level(n_prime)
+    roots = zc.level(n_prime, budget)
     if not roots:
         raise PreconditionMeasure("the ambient code is dead at the requested prefix")
     bound = c_w + eps_w
@@ -296,7 +284,7 @@ def _interpolate_above_zero(
     # c = 0: either certify the values vanish, or lift the target to a
     # positive floor that the tree is known to clear and recurse.
     half = eps_w * _HALF
-    spread = max(len(zc.level(n_prime)), 1)
+    spread = max(len(zc.level(n_prime, budget)), 1)
     probe_block = n_prime
     while not (cylinder_weight(s, probe_block) * spread < half):
         probe_block += 1
@@ -450,23 +438,11 @@ class ThinningCertificate:
         return tuple(r.branch for r in self.branches if not r.kept)
 
 
-def thin_test(
-    z: Union[TreeSource, PiecewiseCode], s, n: int, tau: str, theta, depth: int
-) -> bool:
-    """Is the branch above tau already at its baseline weight, slack theta?"""
-    check_bits(tau)
-    if len(tau) != n:
-        raise CgmtError(f"branch must have length {n}, got {tau!r}")
-    zc = _as_code(z)
-    value = htilde(zc.restricted(tau).marking(depth), s, n + 1, want_witness=False).value
-    return value <= cylinder_weight(Fraction(s), n) + as_weight(theta)
-
-
 def thinify(
     z: Union[TreeSource, PiecewiseCode],
     s,
     n: int,
-    nu,
+    nu: int,
     c,
     theta,
     window: int = 2,
@@ -493,12 +469,12 @@ def thinify(
 
     current = zc
     reports = []
-    for tau in sorted(zc.level(n)):
+    for tau in sorted(zc.level(n, budget)):
         start = max(floor, current.live_depth, n + 1)
         check_block = start + window
         restricted = current.restricted(tau)
         value = htilde(
-            restricted.marking(check_block), s_frac, n + 1, want_witness=False
+            restricted.marking(check_block, budget), s_frac, n + 1, want_witness=False
         ).value
         if value <= threshold:
             reports.append(BranchReport(tau, True, value, check_block))
@@ -511,8 +487,8 @@ def thinify(
         )
         new_depth = refined.code.live_depth
         merged = tuple(
-            frozenset(t for t in current.level(length) if not compatible(t, tau))
-            | refined.code.level(length)
+            frozenset(t for t in current.level(length, budget) if not compatible(t, tau))
+            | refined.code.level(length, budget)
             for length in range(new_depth + 1)
         )
         # the union of two trees grown from current.source (the refined one
@@ -525,7 +501,7 @@ def thinify(
         )
 
     deep = current.live_depth + window
-    floor_value = htilde(current.marking(deep), s_frac, n0, want_witness=False).value
+    floor_value = htilde(current.marking(deep, budget), s_frac, n0, want_witness=False).value
     if floor_value < c_w:
         raise PreconditionMeasure(f"thinning lost the certified floor at block {deep}")
     certificate = ThinningCertificate(
@@ -625,7 +601,7 @@ def besicovitch_extract(
 
     certificates = []
     for n in range(n0, stages):
-        branch_count = max(len(current.level(n)), 1)
+        branch_count = max(len(current.level(n, budget)), 1)
         theta = margin * Fraction(1, (1 << (n - n0 + 3)) * branch_count)
         try:
             current, thin_cert = thinify(
@@ -636,7 +612,7 @@ def besicovitch_extract(
         witness_block = current.live_depth
         deep = thin_cert.floor_block
         upper = htilde(
-            current.marking(witness_block), s_frac, n + 1, want_witness=False
+            current.marking(witness_block, budget), s_frac, n + 1, want_witness=False
         ).value
         target = c_w + AlgebraicWeight.two_power(-(n + 1))
         if not upper < target:
@@ -645,7 +621,7 @@ def besicovitch_extract(
             RefinementCertificate(
                 stage=n + 1,
                 dimension=s_frac,
-                marks=current.marking(deep),
+                marks=current.marking(deep, budget),
                 lower_granularity=n0,
                 lower_target=c_w,
                 lower_checks=((deep, thin_cert.floor_value),),

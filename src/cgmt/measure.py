@@ -44,12 +44,11 @@ from .core import BudgetExceeded, CgmtError
 from .trees import (
     BlockMarking,
     StateQuotient,
-    SubtreeCodePrefix,
     TreeSource,
     prefix_closure,
     quotient_of_source,
 )
-from .weights import AlgebraicWeight, ScaledRing, as_weight, cylinder_weight
+from .weights import AlgebraicWeight, ScaledRing, cylinder_weight
 
 CASE2_WITNESS_CAP = 12
 BRUTEFORCE_MAX_BLOCK = 7
@@ -394,7 +393,7 @@ def verify_marking_cover(cover: CoverSet, marking: BlockMarking, n: int, s) -> A
     return cover_weight(strings, s)
 
 
-# -- sequences and comparison -------------------------------------------------------
+# -- sequences -----------------------------------------------------------------------
 
 
 def measure_sequence(
@@ -415,44 +414,3 @@ def measure_sequence(
     _check_granularity(n)
     quotient = quotient_of_source(src, max(blocks), budget)
     return [_quotient_htilde(quotient, s, n, b) for b in blocks]
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    verified: bool
-    stable_block: Optional[int]
-    horizon: int
-    eps: AlgebraicWeight
-    values_left: tuple[AlgebraicWeight, ...]
-    values_right: tuple[AlgebraicWeight, ...]
-
-
-def _block_values(z, s, n: int, horizon: int) -> list[AlgebraicWeight]:
-    if isinstance(z, TreeSource):
-        return [v.value for v in measure_sequence(z, s, n, list(range(horizon + 1)))]
-    if isinstance(z, SubtreeCodePrefix):
-        if z.validated_block is None or z.validated_block < horizon:
-            raise CgmtError(f"horizon {horizon} beyond available block {z.validated_block}")
-        return [htilde(z.marking(b), s, n, want_witness=False).value for b in range(horizon + 1)]
-    raise CgmtError(f"not a depth-indexed code: {z!r}")
-
-
-def compare_measures(z_left, z_right, s, n: int, eps, horizon: int) -> ComparisonReport:
-    """Find one left block whose value undercuts every right block within eps."""
-    eps_w = as_weight(eps)
-    left = _block_values(z_left, s, n, horizon)
-    right = _block_values(z_right, s, n, horizon)
-    bar = min(right)
-    stable = None
-    for k, v in enumerate(left):
-        if v < bar + eps_w:
-            stable = k
-            break
-    return ComparisonReport(
-        verified=stable is not None,
-        stable_block=stable,
-        horizon=horizon,
-        eps=eps_w,
-        values_left=tuple(left),
-        values_right=tuple(right),
-    )

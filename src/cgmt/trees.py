@@ -1,4 +1,4 @@
-"""Closed-set presentations and subset-code validation.
+"""Closed-set presentations and the one in-memory form of a finite tree.
 
 A closed subset of Cantor space is presented as a TreeSource: a pure
 membership callback on its tree of finite prefixes, optionally with an
@@ -11,31 +11,19 @@ membership oracle; what it grows is a tree by construction and is not
 checked again.  quotient_of_source grows one representative per (state,
 length) class instead; without states, every member is a class.
 
-Subset candidates inside an ambient tree are bit-string codes over the
-length-lex enumeration.  validate_code checks the marking discipline:
-marked strings form a prefix-closed subtree of the ambient tree with a
-mark on every complete length level, and (for pruned codes) every marked
-node whose children are in view has a marked child.  Restrictions of a
-code to the strings compatible with a fixed node may lose whole levels;
-they carry a restriction flag instead of failing validation.
+A subset inside an ambient tree is a BlockMarking too: its conditions are
+a tree shape (the constructor), membership of every mark in the ambient
+tree (checked where a code over a source is built from outside data), and
+nothing else.  Levels may be empty: a marking that dies below its block
+is still a finite tree, and its values say so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
-from .core import (
-    BudgetExceeded,
-    CgmtError,
-    check_bits,
-    block_length,
-    block_of_prefix_length,
-    compatible,
-    index_of,
-    iter_strings,
-    string_at,
-)
+from .core import BudgetExceeded, CgmtError, check_bits, compatible
 
 
 class NotExtendible(CgmtError):
@@ -43,12 +31,11 @@ class NotExtendible(CgmtError):
 
 
 class CodeViolation(CgmtError):
-    """A code prefix violates the marking discipline.
+    """A finite tree violates the marking discipline.
 
     condition: 0 shape (level count, binary marks of their level's
-    length), 1 prefix-closure, 2 ambient membership, 3 level coverage,
-    4 pruned child condition.  witness: offending mark (or block level
-    rendered as a decimal string, for conditions 0 and 3).
+    length), 1 prefix-closure, 2 ambient membership.  witness: offending
+    mark (or block rendered as a decimal string, for condition 0).
     """
 
     def __init__(self, condition: int, witness: str, detail: str):
@@ -70,16 +57,6 @@ class Condition1Violation(CodeViolation):
 class Condition2Violation(CodeViolation):
     def __init__(self, witness: str):
         super().__init__(2, witness, "marked string outside the ambient tree")
-
-
-class Condition3Violation(CodeViolation):
-    def __init__(self, level: int):
-        super().__init__(3, str(level), "complete level with no marked string")
-
-
-class PrunedViolation(CodeViolation):
-    def __init__(self, witness: str):
-        super().__init__(4, witness, "marked string with both children in view, neither marked")
 
 
 # -- tree sources -------------------------------------------------------------
@@ -115,11 +92,6 @@ class TreeSource:
         if self.extendible is None:
             raise NotExtendible(f"{self.name}: no extendibility callback")
         return self.extendible
-
-    def level_count(self, m: int) -> Optional[int]:
-        if self.extension_count is None:
-            return None
-        return self.extension_count("", m)
 
 
 def full_tree() -> TreeSource:
@@ -306,8 +278,10 @@ class BlockMarking:
     the empty prefix, which carries no information at all.  The constructor
     is the one shape check of a finite tree: one level per length, every
     mark a binary string of its level's length, every mark's parent marked.
-    A restriction marking may have empty levels; an ordinary validated
-    marking may not.
+    Any level may be empty, and every level past an empty one is then
+    empty too.  restriction records only that a marking may have empty
+    levels (a restriction to a node, or a tree that dies below its block);
+    no check reads it, and reports only echo it.
     """
 
     block: int
@@ -416,103 +390,7 @@ def marking_of_source(src: TreeSource, block: int, budget: Optional[int] = None)
     return BlockMarking.derived(block, levels, restriction=not all(levels))
 
 
-# -- subset codes ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubtreeCodePrefix:
-    """A validated code prefix: bits[i] marks the i-th string in length-lex order."""
-
-    bits: str
-    validated_block: Optional[int]
-    pruned: bool = False
-    restriction: bool = False
-
-    def length(self) -> int:
-        return len(self.bits)
-
-    def is_marked(self, s: str) -> bool:
-        i = index_of(s)
-        return i < len(self.bits) and self.bits[i] == "1"
-
-    def marked_strings(self) -> Iterator[str]:
-        for i, b in enumerate(self.bits):
-            if b == "1":
-                yield string_at(i)
-
-    def marking(self, block: Optional[int] = None) -> BlockMarking:
-        """Marked level sets through `block` (default: deepest complete block)."""
-        if block is None:
-            block = self.validated_block if self.validated_block is not None else -1
-        if block < 0:
-            return BlockMarking.empty()
-        if self.validated_block is None or block > self.validated_block:
-            raise CgmtError(f"block {block} not complete in a length-{len(self.bits)} prefix")
-        levels: list[set[str]] = [set() for _ in range(block + 1)]
-        for i in range(block_length(block)):
-            if self.bits[i] == "1":
-                s = string_at(i)
-                levels[len(s)].add(s)
-        return BlockMarking(
-            block, tuple(frozenset(l) for l in levels), restriction=self.restriction
-        )
-
-
-def validate_code(nu: str, ambient: TreeSource, pruned: bool = False) -> SubtreeCodePrefix:
-    """Check the marking discipline, reporting the first violated condition."""
-    check_bits(nu)
-    block = block_of_prefix_length(len(nu))
-    marked = [b == "1" for b in nu]
-    for i, m in enumerate(marked):
-        if m and i:
-            s = string_at(i)
-            if not marked[index_of(s[:-1])]:
-                raise Condition1Violation(s)
-    for i, m in enumerate(marked):
-        if m and not ambient.member(string_at(i)):
-            raise Condition2Violation(string_at(i))
-    if block is not None:
-        for n in range(block + 1):
-            start = block_length(n - 1) if n else 0
-            if not any(marked[start : block_length(n)]):
-                raise Condition3Violation(n)
-    if pruned:
-        for i, m in enumerate(marked):
-            if not m:
-                continue
-            s = string_at(i)
-            right = index_of(s + "1")
-            if right < len(nu) and not (marked[right - 1] or marked[right]):
-                raise PrunedViolation(s)
-    return SubtreeCodePrefix(nu, block, pruned=pruned)
-
-
-def code_of_levels(
-    levels: Iterable[Iterable[str]], pruned: bool = False, restriction: bool = False
-) -> SubtreeCodePrefix:
-    """Assemble a code prefix from per-level marked sets (unchecked)."""
-    rows = []
-    for n, level in enumerate(levels):
-        row = ["0"] * (1 << n)
-        for s in level:
-            row[int(s or "0", 2)] = "1"
-        rows.append("".join(row))
-    return SubtreeCodePrefix(
-        "".join(rows), len(rows) - 1 if rows else None, pruned=pruned, restriction=restriction
-    )
-
-
-def restrict(z: SubtreeCodePrefix, tau: str) -> SubtreeCodePrefix:
-    """Marks of z compatible with tau; flagged, since levels may empty out."""
-    check_bits(tau)
-    out = [
-        b if b == "0" or compatible(string_at(i), tau) else "0"
-        for i, b in enumerate(z.bits)
-    ]
-    return SubtreeCodePrefix("".join(out), z.validated_block, pruned=False, restriction=True)
-
-
-# -- separable sequences ---------------------------------------------------------
+# -- paths ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -527,18 +405,6 @@ class PathGenerator:
         if len(out) != length or (out and out.strip("01")):
             raise CgmtError(f"{self.name}: generator returned a bad prefix")
         return out
-
-
-def constant_tail_path(stem: str, tail: str = "0") -> PathGenerator:
-    check_bits(stem)
-    check_bits(tail)
-
-    def prefix_fn(length: int) -> str:
-        if length <= len(stem):
-            return stem[:length]
-        return (stem + tail * (length - len(stem)))[:length]
-
-    return PathGenerator(prefix_fn, name=f"{stem or 'root'}+{tail}*")
 
 
 def leftmost_extension_path(src: TreeSource, stem: str) -> PathGenerator:
@@ -560,33 +426,3 @@ def leftmost_extension_path(src: TreeSource, stem: str) -> PathGenerator:
         return cur[:length]
 
     return PathGenerator(prefix_fn, name=f"leftmost:{stem or 'root'}")
-
-
-@dataclass(frozen=True)
-class SeparableSequence:
-    generators: tuple[PathGenerator, ...]
-
-
-def leftmost_path(src: TreeSource, depth: int) -> str:
-    ext = src.require_extendible()
-    if not ext(""):
-        raise NotExtendible(f"{src.name}: root is not extendible")
-    return leftmost_extension_path(src, "").prefix(depth)
-
-
-def separable_from_pruned(src: TreeSource, count: int, depth: int) -> SeparableSequence:
-    """Leftmost-extension generators for the first `count` members in length-lex order."""
-    gens: list[PathGenerator] = []
-    if count:
-        for s in iter_strings(depth):
-            if src.member(s):
-                gens.append(leftmost_extension_path(src, s))
-                if len(gens) == count:
-                    break
-        else:
-            raise NotExtendible(f"{src.name}: fewer than {count} members to depth {depth}")
-    return SeparableSequence(tuple(gens))
-
-
-def tree_from_separable(seq: SeparableSequence, depth: int) -> BlockMarking:
-    return BlockMarking(depth, prefix_closure((g.prefix(depth) for g in seq.generators), depth))

@@ -325,11 +325,12 @@ def parse_spec(path: str) -> TreeSource:
     import os
 
     if not os.path.exists(path):
+        # a name that is no builtin is a missing file; a malformed
+        # dyadic(...) raises its own ParseError
         try:
             return _builtin_source(path)
-        except ParseError:
-            pass
-        raise ParseError(f"no such spec file: {path}")
+        except UnknownBuiltin:
+            raise ParseError(f"no such spec file: {path}") from None
     try:
         return read_input(path, "spec file", parse_spec_text)
     except UnknownBuiltin:

@@ -413,11 +413,6 @@ def _scaled_power(num: int, den: int, length: int) -> AlgebraicWeight:
     return AlgebraicWeight.two_power(Fraction(-num * length, den))
 
 
-def string_weight(s_num: int, s_den: int, length: int) -> AlgebraicWeight:
-    """2^(-s * length) for s = s_num/s_den, cached."""
-    return _scaled_power(s_num, s_den, length)
-
-
 def cylinder_weight(s: Fraction, length: int) -> AlgebraicWeight:
     """2^(-s * length), the s-weight of one cylinder of the given length."""
     return _scaled_power(s.numerator, s.denominator, length)

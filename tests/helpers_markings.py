@@ -1,11 +1,35 @@
 """Shared test helpers: seeded random markings, finite trees from strings, seeded automata."""
 
+import itertools
 import random
 
 from cgmt.measure import count_covers
 from cgmt.trees import BlockMarking, TreeSource, prefix_closure
 
 ENUM_BUDGET = 20_000
+
+
+def strings_through(depth: int):
+    """Every binary string of length <= depth, shortest first, each length in lex order."""
+    for length in range(depth + 1):
+        for bits in itertools.product("01", repeat=length):
+            yield "".join(bits)
+
+
+def assert_code_conditions(marking: BlockMarking, ambient: TreeSource, pruned: bool = False):
+    """Conditions 1-4 of a subset code inside an ambient tree, read off the marks alone.
+
+    1 every mark's parent is marked; 2 every mark is a member of ambient;
+    3 no level is empty; 4 (pruned only) every mark below the block has a
+    marked child.
+    """
+    for length, level in enumerate(marking.levels):
+        assert level, f"condition 3: level {length} is empty"
+        for t in level:
+            assert not length or t[:-1] in marking.levels[length - 1], f"condition 1 at {t!r}"
+            assert ambient.member(t), f"condition 2 at {t!r}"
+            if pruned and length < marking.block:
+                assert {t + "0", t + "1"} & marking.levels[length + 1], f"condition 4 at {t!r}"
 
 
 def tree_of(strings, depth: int) -> BlockMarking:

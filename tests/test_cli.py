@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers_markings import strings_through
+
 from cgmt.cli import (
     EXIT_BUDGET,
     EXIT_DENSITY,
@@ -35,7 +37,7 @@ from cgmt.cli import (
     run_verify_suite,
 )
 from cgmt.construct import besicovitch_extract
-from cgmt.core import CgmtError, iter_strings
+from cgmt.core import CgmtError
 from cgmt.report import (
     ReportDocument,
     certificate_from_obj,
@@ -52,7 +54,7 @@ from cgmt.treespec import (
     parse_spec_text,
     spec_from_obj,
 )
-from cgmt.trees import full_tree
+from cgmt.trees import BlockMarking, full_tree
 from cgmt.weights import AlgebraicWeight
 
 
@@ -158,7 +160,7 @@ class TestTreeSpecExplicit:
                 for k in range(len(t) + 1):
                     counts[t[:k], len(t)] = counts.get((t[:k], len(t)), 0) + 1
             extendible = {t[:k] for t in members if len(t) == depth for k in range(depth + 1)}
-            for tau in iter_strings(depth + 1):
+            for tau in strings_through(depth + 1):
                 assert src.member(tau) == (tau in members), tau
                 assert src.extendible(tau) == (tau in extendible), tau
                 for m in range(depth + 2):
@@ -240,6 +242,16 @@ class TestTreeSpecFiles:
     def test_missing_file(self):
         with pytest.raises(ParseError, match="no such spec file"):
             parse_spec("definitely-not-a-file.json")
+
+    @pytest.mark.parametrize("name, message", [
+        ("dyadic(3/5)", "dyadic constant needs a power-of-two denominator, got 3/5"),
+        ("dyadic(9/8)", "dyadic constant must be in (0, 1], got 9/8"),
+        ("dyadic(x)", "bad dyadic constant 'x'"),
+    ])
+    def test_malformed_dyadic_names_the_builtin(self, capsys, name, message):
+        code, out, err = run_cli(capsys, "measure", "--tree", name, "--s", "1", "--n", "0")
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"error[3] ParseError: {message}\n"
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -382,6 +394,19 @@ class TestCliCommands:
         assert err.startswith("error[9] ")
         assert err.count("\n") == 1
         return err
+
+    def test_empty_levels_are_a_tree_and_a_negative_verdict(self, capsys, tmp_path):
+        # a finite tree may die below its block: the shape check accepts it
+        dead = BlockMarking(2, [{""}, set(), set()])
+        assert dead.levels == (frozenset({""}), frozenset(), frozenset())
+        doc = run_json(capsys, "besicovitch", "--tree", "full", "--s", "1/2",
+                       "--c", "1", "--stages", "3")
+        doc["results"]["certificates"][-1]["levels"][-1] = []
+        path = tmp_path / "emptied.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "cover-verify", "--certificate", str(path))
+        assert code == EXIT_VERDICT and err == ""
+        assert [v["ok"] for v in json.loads(out)["results"]["verdicts"]] == [True, True, False]
 
     def test_cover_verify_rejects_non_binary_mark(self, capsys, tmp_path):
         def tamper(cert):
@@ -552,6 +577,32 @@ class TestCliExitCodes:
         assert err.startswith("error[8] ") and err.count("\n") == 1
         code, _, err = run_cli(capsys, *argv, "--budget", str(least))
         assert code == EXIT_OK, err
+
+    # a constant out of its range is a usage error; a malformed one stays a parse error
+    @pytest.mark.parametrize("code, argv", [
+        (EXIT_USAGE, ("extract", "--tree", "full", "--s", "1", "--n", "0", "--c", "1/2",
+                      "--eps", "0")),
+        (EXIT_USAGE, ("extract-pruned", "--tree", "full", "--s", "1", "--n", "0", "--c", "1/2",
+                      "--eps", '{"q": 2, "coeffs": ["0", "-1"]}')),
+        (EXIT_USAGE, ("thin", "--tree", "full", "--s", "1/2", "--n", "1", "--c", "1",
+                      "--theta", "-1")),
+        (EXIT_USAGE, ("lebesgue-path", "--tree", "full", "--c", "2", "--depth", "3")),
+        (EXIT_USAGE, ("lebesgue-path", "--tree", "full", "--c=-1", "--depth", "3")),
+        (EXIT_USAGE, ("lebesgue-path", "--tree", "full", "--c", "0", "--depth", "3")),
+        (EXIT_PARSE, ("extract", "--tree", "full", "--s", "1", "--n", "0", "--c", "1/2",
+                      "--eps", "x")),
+        (EXIT_PARSE, ("thin", "--tree", "full", "--s", "1/2", "--n", "1", "--c", "1",
+                      "--theta", "1/0")),
+        (EXIT_PARSE, ("lebesgue-path", "--tree", "full", "--c", "{", "--depth", "3")),
+    ])
+    def test_constant_range(self, capsys, code, argv):
+        try:
+            got = main(list(argv))
+        except SystemExit as info:
+            got = info.code
+        captured = capsys.readouterr()
+        assert got == code and captured.out == ""
+        assert captured.err.startswith(f"error[{code}] ") and captured.err.count("\n") == 1
 
     def test_usage_error_is_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_markings import grown_source, tree_of
+from helpers_markings import assert_code_conditions, grown_source, tree_of
 
 from cgmt.core import BudgetExceeded, CgmtError
 from cgmt.construct import (
@@ -28,7 +28,6 @@ from cgmt.construct import (
     interpolate_subset,
     lebesgue_path,
     pruned_approx_subset,
-    thin_test,
     thinify,
 )
 from cgmt.measure import PreconditionMeasure, htilde
@@ -37,13 +36,11 @@ from cgmt.trees import (
     BlockMarking,
     NotExtendible,
     TreeSource,
-    code_of_levels,
     dyadic_tree,
     full_tree,
     levels_of_source,
     marking_of_source,
     rooted_tree,
-    validate_code,
 )
 from cgmt.weights import AlgebraicWeight, ScaledRing
 
@@ -56,6 +53,12 @@ def W(x) -> AlgebraicWeight:
 
 def exactly(value: AlgebraicWeight, expected) -> bool:
     return (value - W(expected)).is_zero()
+
+
+def branch_is_thin(code: PiecewiseCode, s, n: int, tau: str, theta, depth: int) -> bool:
+    """The branch above tau weighs at most its baseline 2^(-ns) plus theta at depth."""
+    value = htilde(code.restricted(tau).marking(depth), s, n + 1, want_witness=False).value
+    return value <= AlgebraicWeight.two_power(-Fraction(s) * n) + W(theta)
 
 
 def counting_source(base: TreeSource, forbid_counts: bool = True) -> tuple[TreeSource, dict]:
@@ -136,10 +139,9 @@ def test_restricted_code_filters():
 
 
 def test_code_prefix_roundtrip():
-    zc = PiecewiseCode.root_of(full_tree())
-    cp = code_of_levels(zc.marking(2).levels)
-    assert cp.bits == "1111111"
-    validate_code(cp.bits, full_tree())
+    marking = PiecewiseCode.root_of(full_tree()).marking(2)
+    assert [len(level) for level in marking.levels] == [1, 2, 4]
+    assert_code_conditions(marking, full_tree())
 
 
 # -- interpolation ----------------------------------------------------------------
@@ -222,22 +224,11 @@ def test_interpolate_prefix_resume():
     assert all(exactly(v, 1) for _, v in r.values)
 
 
-def test_interpolate_prefix_disagreement():
-    zc = PiecewiseCode.root_of(full_tree())
-    wrong = validate_code("110", full_tree())
-    with pytest.raises(CgmtError):
-        interpolate_subset(zc, wrong, 1, 0, HALF, Fraction(1, 4))
-    agreeing = validate_code("111", full_tree())
-    r = interpolate_subset(zc, agreeing, 1, 1, 1, Fraction(1, 8))
-    assert r.code.top() <= {"0", "1"} or r.top_level >= 1
-
-
 def test_pruned_variant_child_condition():
     r = pruned_approx_subset(full_tree(), HALF, 1, 1, Fraction(1, 8))
     assert r.code.top() == {"00", "10"}
     assert all(exactly(v, 1) for _, v in r.values)
-    cp = code_of_levels(r.code.marking(r.code.live_depth + 2).levels)
-    validate_code(cp.bits, full_tree(), pruned=True)
+    assert_code_conditions(r.code.marking(r.code.live_depth + 2), full_tree(), pruned=True)
 
 
 def test_interpolate_random_brackets():
@@ -362,15 +353,22 @@ def test_sweep_weighs_shared_shapes_once(monkeypatch):
     assert counts["add"] <= 1_000, counts
 
 
+@pytest.mark.parametrize("run", [
+    # the full tree holds 2^13 - 1 strings through level 12, thinify's branch loop
+    lambda src: thinify(src, HALF, 12, 12, Fraction(1, 8), Fraction(1, 64), budget=1000),
+    # and 2^15 - 1 through level 14, interpolate_subset's roots
+    lambda src: interpolate_subset(src, 14, HALF, 1, Fraction(1, 4), Fraction(1, 8), budget=1000),
+], ids=["thinify", "interpolate_subset"])
+def test_every_level_is_grown_under_the_budget(run):
+    src, calls = counting_source(full_tree())
+    with pytest.raises(BudgetExceeded):
+        run(src)
+    # the root, then one query per string held until the count passes 1000
+    assert calls["member"] <= 1001
+    assert calls["extendible"] == 0
+
+
 # -- thinning ---------------------------------------------------------------------
-
-
-def test_thin_test_examples():
-    assert not thin_test(full_tree(), HALF, 1, "0", 0, 6)
-    assert thin_test(rooted_tree("0"), HALF, 1, "1", 0, 6)
-    assert thin_test(full_tree(), HALF, 1, "0", 2, 6)
-    with pytest.raises(CgmtError):
-        thin_test(full_tree(), HALF, 1, "01", 0, 6)
 
 
 def test_thinify_full_half_dimension():
@@ -382,7 +380,7 @@ def test_thinify_full_half_dimension():
     assert exactly(cert.floor_value, 1)
     assert cert.floor_block == 7
     for tau in ("0", "1"):
-        assert thin_test(out, HALF, 1, tau, Fraction(1, 64), 7)
+        assert branch_is_thin(out, HALF, 1, tau, Fraction(1, 64), 7)
 
 
 def test_thinify_already_thin_is_identity():
@@ -442,7 +440,7 @@ def test_thinify_random_floor_and_transfer():
         slack = W(theta) * len(out.level(n))
         assert u <= w + slack
         for tau in sorted(out.level(n)):
-            assert thin_test(out, s, n, tau, theta, deep)
+            assert branch_is_thin(out, s, n, tau, theta, deep)
 
 
 # -- staged extraction ------------------------------------------------------------

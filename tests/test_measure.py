@@ -14,7 +14,6 @@ from cgmt.measure import (
     LengthViolation,
     MeasureBracket,
     NotACover,
-    compare_measures,
     count_covers,
     cover_weight,
     htilde,
@@ -24,14 +23,12 @@ from cgmt.measure import (
 )
 from cgmt.trees import (
     BlockMarking,
-    code_of_levels,
     dyadic_tree,
     full_tree,
     marking_of_source,
     prefix_closure,
     quotient_of_source,
     rooted_tree,
-    validate_code,
 )
 from cgmt.treespec import spec_from_obj
 from cgmt.weights import AlgebraicWeight, ScaledRing
@@ -429,26 +426,6 @@ def test_measure_sequence_rejects_unsorted():
         measure_sequence(full_tree(), 1, 0, [2, 1])
 
 
-def test_compare_measures_reflexive():
-    r = compare_measures(full_tree(), full_tree(), HALF, 1, Fraction(1, 100), 4)
-    assert r.verified and r.stable_block == 0
-
-
-def test_compare_measures_subtree():
-    r = compare_measures(rooted_tree("0"), full_tree(), 1, 0, Fraction(1, 4), 4)
-    assert r.verified
-    back = compare_measures(full_tree(), rooted_tree("0"), 1, 0, Fraction(1, 4), 4)
-    assert not back.verified and back.stable_block is None
-
-
-def test_compare_measures_on_codes():
-    code = validate_code("1" * 15, full_tree())
-    r = compare_measures(code, code, 1, 0, Fraction(1, 8), 3)
-    assert r.verified
-    with pytest.raises(CgmtError):
-        compare_measures(code, code, 1, 0, Fraction(1, 8), 9)
-
-
 def test_bracket_validation():
     with pytest.raises(CgmtError):
         MeasureBracket(W.from_rational(1), W.from_rational(HALF), 0, 0)
@@ -457,15 +434,12 @@ def test_bracket_validation():
 
 
 def test_restriction_marking_zero():
-    code = validate_code("1" * 7, full_tree())
-    from cgmt.trees import restrict
-
-    r = restrict(code, "00")
-    marking = r.marking()
+    code = marking_of_source(full_tree(), 2)
+    marking = code.restrict("00")
     v = htilde(marking, HALF, 1)
     assert v.value == W.two_power(-1)
-    gone = restrict(code, "000000")  # nothing marked that deep except prefixes
-    assert htilde(gone.marking(), HALF, 0).value == W.two_power(-1)
+    gone = code.restrict("000000")  # nothing marked that deep except prefixes
+    assert htilde(gone, HALF, 0).value == W.two_power(-1)
 
 
 # -- the state quotient -------------------------------------------------------------

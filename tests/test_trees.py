@@ -2,33 +2,30 @@ import random
 
 import pytest
 
-from helpers_markings import cyclic_automaton, pruned, tree_of
+from helpers_markings import (
+    assert_code_conditions,
+    cyclic_automaton,
+    pruned,
+    strings_through,
+    tree_of,
+)
 
 from cgmt.construct import PiecewiseCode
-from cgmt.core import CgmtError, compatible, iter_strings, string_at
+from cgmt.core import CgmtError, compatible
 from cgmt import trees as tr
 from cgmt.treespec import spec_from_obj
 from cgmt.trees import (
     BlockMarking,
     Condition1Violation,
     Condition2Violation,
-    Condition3Violation,
     NotExtendible,
-    PrunedViolation,
-    SeparableSequence,
     TreeSource,
-    code_of_levels,
-    constant_tail_path,
     dyadic_tree,
     full_tree,
-    leftmost_path,
+    leftmost_extension_path,
     marking_of_source,
     prefix_closure,
-    restrict,
     rooted_tree,
-    separable_from_pruned,
-    tree_from_separable,
-    validate_code,
 )
 
 
@@ -36,81 +33,80 @@ def empty_tree() -> TreeSource:
     return TreeSource(member=lambda s: False, extendible=lambda s: False, name="empty")
 
 
-# -- validate_code -------------------------------------------------------------
+# -- the conditions of a subset code ---------------------------------------------------
 
 
 def test_validate_full_code():
-    # Length 7 = 2^3 - 1 covers every string of length <= 2.
-    code = validate_code("1" * 7, full_tree())
-    assert code.validated_block == 2
+    code = marking_of_source(full_tree(), 2)
+    assert_code_conditions(code, full_tree())
+    assert [len(level) for level in code.levels] == [1, 2, 4]
     assert code.is_marked("01")
 
 
 def test_validate_prefix_closure():
-    # "01" marked while "0" is not.
-    bits = ["0"] * 7
-    bits[0] = "1"
-    bits[4] = "1"
+    # "01" marked while "0" is not
     with pytest.raises(Condition1Violation) as e:
-        validate_code("".join(bits), full_tree())
+        BlockMarking(2, ({""}, set(), {"01"}))
     assert e.value.witness == "01"
 
 
 def test_validate_ambient():
     with pytest.raises(Condition2Violation) as e:
-        validate_code("101", rooted_tree("0"))
+        PiecewiseCode(rooted_tree("0"), 1, ({""}, {"1"}))
     assert e.value.witness == "1"
+    with pytest.raises(AssertionError, match="condition 2"):
+        assert_code_conditions(BlockMarking(1, ({""}, {"1"})), rooted_tree("0"))
 
 
 def test_validate_level_coverage():
-    with pytest.raises(Condition3Violation) as e:
-        validate_code("100", full_tree())
-    assert e.value.witness == "1"
+    # a marking may die below its block; a subset code may not
+    with pytest.raises(AssertionError, match="condition 3: level 1"):
+        assert_code_conditions(BlockMarking(1, ({""}, set())), full_tree())
 
 
 def test_validate_pruned_child():
-    # "1" is marked, its children are in view, neither is marked.
-    assert validate_code("1111000", full_tree(), pruned=False).validated_block == 2
-    with pytest.raises(PrunedViolation) as e:
-        validate_code("1111000", full_tree(), pruned=True)
-    assert e.value.witness == "1"
+    # "1" is marked, its children are in view, neither is marked
+    code = BlockMarking(2, ({""}, {"0", "1"}, {"00"}))
+    assert_code_conditions(code, full_tree())
+    with pytest.raises(AssertionError, match="condition 4 at '1'"):
+        assert_code_conditions(code, full_tree(), pruned=True)
 
 
-def brute_accepts(nu: str, ambient: TreeSource) -> bool:
+def brute_accepts(marked: set, block: int, ambient: TreeSource) -> bool:
     # Independent transcription of the three code conditions.
-    marked = {string_at(i) for i, b in enumerate(nu) if b == "1"}
     for s in marked:
         for j in range(len(s)):
             if s[:j] not in marked:
                 return False
     if any(not ambient.member(s) for s in marked):
         return False
-    n = 0
-    while (1 << (n + 1)) - 1 <= len(nu):
-        if not any(len(s) == n for s in marked):
-            return False
-        n += 1
-    return True
+    return all(any(len(s) == n for s in marked) for n in range(block + 1))
 
 
 def test_validator_matches_bruteforce():
+    # every mark set through blocks 0..2, and sampled ones through block 3,
+    # held without the constructor's check so that condition 1 can fail
     ambients = [full_tree(), rooted_tree("0"), dyadic_tree(3, 2)]
     rng = random.Random(20260816)
-    prefixes = [""]
-    for length in range(1, 16):
-        for _ in range(40):
-            prefixes.append("".join(rng.choice("01") for _ in range(length)))
-    # Short prefixes exhaustively, longer ones sampled.
-    for length in range(1, 8):
-        prefixes.extend(format(v, f"0{length}b") for v in range(1 << length))
+    cases = []
+    for block in range(4):
+        strings = list(strings_through(block))
+        bits = [format(v, f"0{len(strings)}b") for v in range(1 << len(strings))]
+        if block == 3:
+            bits = [format(rng.getrandbits(len(strings)), f"0{len(strings)}b") for _ in range(600)]
+            bits.append("1" * len(strings))
+        cases.extend((block, {s for s, b in zip(strings, nu) if b == "1"}) for nu in bits)
     for ambient in ambients:
-        for nu in prefixes:
+        for block, marked in cases:
+            levels = tuple(
+                frozenset(s for s in marked if len(s) == length) for length in range(block + 1)
+            )
             try:
-                validate_code(nu, ambient)
+                assert_code_conditions(BlockMarking.derived(block, levels), ambient)
                 accepted = True
-            except tr.CodeViolation:
+            except AssertionError:
                 accepted = False
-            assert accepted == brute_accepts(nu, ambient), (nu, ambient.name)
+            assert accepted == brute_accepts(marked, block, ambient), (marked, ambient.name)
 
 
 # -- truncations ----------------------------------------------------------------
@@ -209,7 +205,7 @@ GROWN_SOURCES = {
 def members_through(src: TreeSource, block: int) -> tuple[frozenset[str], ...]:
     """Every member of length <= block, by asking about every string."""
     levels: list[set[str]] = [set() for _ in range(block + 1)]
-    for s in iter_strings(block):
+    for s in strings_through(block):
         if src.member(s):
             levels[len(s)].add(s)
     return tuple(map(frozenset, levels))
@@ -279,17 +275,17 @@ def test_grow_budget_counts_every_string_held():
 
 def test_dyadic_tree_counts():
     d = dyadic_tree(3, 2)
-    assert [d.level_count(m) for m in range(5)] == [1, 2, 3, 6, 12]
-    got = [s for s in iter_strings(2) if d.member(s)]
+    assert [d.extension_count("", m) for m in range(5)] == [1, 2, 3, 6, 12]
+    got = [s for s in strings_through(2) if d.member(s)]
     assert got == ["", "0", "1", "00", "01", "10"]
     for m in range(5):
-        assert sum(d.member(format(v, f"0{m}b") if m else "") for v in range(1 << m)) == d.level_count(m)
+        assert sum(d.member(format(v, f"0{m}b") if m else "") for v in range(1 << m)) == d.extension_count("", m)
 
 
 def test_extension_counts_match_enumeration():
     sources = [full_tree(), rooted_tree("10"), dyadic_tree(3, 2), dyadic_tree(5, 3), dyadic_tree(1, 4)]
     for src in sources:
-        for tau in iter_strings(4):
+        for tau in strings_through(4):
             for m in range(7):
                 expected = sum(
                     1
@@ -307,85 +303,40 @@ def test_extension_counts_stay_closed_form_deep():
     assert rooted_tree("0").extension_count("0", 64) == 1 << 63
 
 
-# -- paths and separability --------------------------------------------------------
+# -- paths ----------------------------------------------------------------------------
 
 
 def test_leftmost_paths():
-    assert leftmost_path(full_tree(), 5) == "00000"
-    assert leftmost_path(rooted_tree("1"), 3) == "100"
+    assert leftmost_extension_path(full_tree(), "").prefix(5) == "00000"
+    assert leftmost_extension_path(rooted_tree("1"), "").prefix(3) == "100"
     with pytest.raises(NotExtendible):
-        leftmost_path(empty_tree(), 3)
+        leftmost_extension_path(empty_tree(), "")
 
 
 def test_leftmost_prefixes_are_members():
     for src in [full_tree(), rooted_tree("10"), dyadic_tree(5, 3)]:
-        path = leftmost_path(src, 8)
+        path = leftmost_extension_path(src, "").prefix(8)
         for k in range(9):
             assert src.member(path[:k])
 
 
-def test_separable_full_tree():
-    seq = separable_from_pruned(full_tree(), 3, depth=4)
-    assert [g.prefix(4) for g in seq.generators] == ["0000", "0000", "1000"]
-
-
-def test_separable_count_zero():
-    assert separable_from_pruned(full_tree(), 0, 4).generators == ()
-
-
-def test_tree_from_separable():
-    seq = SeparableSequence((constant_tail_path(""), constant_tail_path("1")))
-    t = tree_from_separable(seq, 2)
-    members = {s for s in iter_strings(2) if t.is_marked(s)}
-    assert members == {"", "0", "1", "00", "10"}
-
-
-def test_separable_roundtrip():
-    rng = random.Random(99)
-    for _ in range(30):
-        depth = rng.randint(1, 6)
-        strings = ["".join(rng.choice("01") for _ in range(depth)) for _ in range(rng.randint(1, 10))]
-        p = pruned(tree_of(strings, depth))
-        src = p.to_source()
-        count = sum(len(p.marked_at(L)) for L in range(depth + 1))
-        rebuilt = tree_from_separable(separable_from_pruned(src, count, depth), depth)
-        assert rebuilt == p
-
-
-# -- codes and restriction ----------------------------------------------------------
-
-
-def test_code_of_tree_roundtrip():
-    t = tree_of(["00", "01", "1"], 2)
-    code = code_of_levels(t.levels)
-    assert code.bits == "1111100"
-    marking = code.marking()
-    assert marking.marked_at(2) == {"00", "01"}
-    assert marking.marked_at(1) == {"0", "1"}
+# -- restriction and cuts -------------------------------------------------------------
 
 
 def test_restrict_full_code():
-    full = validate_code("1" * 15, full_tree())
-    r = restrict(full, "1")
+    full = marking_of_source(full_tree(), 3)
+    r = full.restrict("1")
     assert r.restriction
-    marked = set(r.marked_strings())
+    marked = {s for level in r.levels for s in level}
     assert marked == {"", "1", "10", "11", "100", "101", "110", "111"}
-    assert restrict(r, "1").bits == r.bits
+    assert r.restrict("1") == r
 
 
 def test_restrict_marking_levels():
-    m = validate_code("1" * 7, full_tree()).marking().restrict("0")
+    m = marking_of_source(full_tree(), 2).restrict("0")
     assert m.restriction
     assert m.marked_at(1) == {"0"}
     assert m.marked_at(0) == {""}
-
-
-def test_marking_partial_block():
-    code = validate_code("11011", full_tree())
-    assert code.validated_block == 1
-    with pytest.raises(CgmtError):
-        code.marking(2)
-    assert code.marking().marked_at(1) == {"0"}
 
 
 def test_cut_equals_checked_construction():

@@ -14,8 +14,8 @@ from cgmt.weights import (
     _float_sign,
     _refine_sign,
     compare,
+    cylinder_weight,
     sign_of,
-    string_weight,
 )
 
 W = AlgebraicWeight
@@ -54,14 +54,14 @@ def test_two_power_half_dimension():
     # 2^(-1/2) squared is exactly 1/2.
     assert u * u == W.from_rational(HALF)
     # Two strings of length 2 at s = 1/2 weigh exactly 1.
-    assert string_weight(1, 2, 2) * 2 == W.from_rational(1)
+    assert cylinder_weight(HALF, 2) * 2 == W.from_rational(1)
 
 
 def test_frozen_cover_weights():
     # Two length-1 strings at s = 1/2: 2 * 2^(-1/2) = sqrt(2).
-    w = string_weight(1, 2, 1) * 2
+    w = cylinder_weight(HALF, 1) * 2
     assert w.decimal(5) == "1.41421"
-    assert (string_weight(1, 2, 2) * 2).decimal(5) == "1.00000"
+    assert (cylinder_weight(HALF, 2) * 2).decimal(5) == "1.00000"
 
 
 def test_canonical_minimal_q():
