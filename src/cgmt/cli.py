@@ -174,6 +174,9 @@ def constant_in(test, span: str):
     return check
 
 
+_NONNEGATIVE = constant_in(lambda w: w.sign() >= 0, "at least 0")
+
+
 def block_list(text: str) -> list[int]:
     """An argparse type: comma-separated, strictly increasing nonnegative integers."""
     blocks = [int_in(0)(v) for v in text.split(",") if v.strip() != ""]
@@ -379,7 +382,7 @@ def _cmd_lebesgue(args) -> tuple[dict, dict, int]:
     src = _tree(args)
     path = lebesgue_path(
         src,
-        parse_constant(args.c),
+        as_weight(parse_constant(args.c)).as_fraction(),
         args.depth,
         cap=args.cap,
         budget=args.budget,
@@ -493,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_tree(p)
         p.add_argument("--s", required=True)
         p.add_argument("--n", type=int_in(0), required=True)
-        p.add_argument("--c", required=True, help="target value (rational or weight object)")
+        p.add_argument("--c", type=_NONNEGATIVE, required=True,
+                       help="target value (rational or weight object)")
         p.add_argument("--eps", type=constant_in(lambda w: w.sign() > 0, "positive"),
                        required=True, help="bracket width")
         p.add_argument("--window", type=int_in(0), default=2)
@@ -506,8 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int_in(0), required=True)
     p.add_argument("--nu", type=int_in(0), default=None, help="committed prefix block (default n)")
     p.add_argument("--c", required=True)
-    p.add_argument("--theta", type=constant_in(lambda w: w.sign() >= 0, "at least 0"),
-                   required=True, help="slack per branch")
+    p.add_argument("--theta", type=_NONNEGATIVE, required=True, help="slack per branch")
     p.add_argument("--window", type=int_in(0), default=2)
     p.add_argument("--n0", type=int_in(0), default=0, help="granularity where c was certified")
     _add_budget(p)
@@ -516,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub_parser("besicovitch", "staged extraction with closing upper bounds")
     _add_tree(p)
     p.add_argument("--s", required=True)
-    p.add_argument("--c", required=True)
+    p.add_argument("--c", type=_NONNEGATIVE, required=True)
     p.add_argument("--n0", type=int_in(0), default=0)
     p.add_argument("--stages", type=int_in(1), required=True)
     p.add_argument("--window", type=int_in(0), default=2)
@@ -526,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub_parser("lebesgue-path", "path through a tree of promised unit-dimension mass")
     _add_tree(p)
     p.add_argument("--c", required=True, help="promised mass",
-                   type=constant_in(lambda w: w.sign() > 0 and w <= as_weight(1), "in (0, 1]"))
+                   type=constant_in(lambda w: w.q == 1 and w.sign() > 0 and w <= as_weight(1),
+                                    "a rational in (0, 1]"))
     p.add_argument("--depth", type=int_in(0), required=True)
     p.add_argument("--cap", type=int_in(0), default=None)
     _add_budget(p)

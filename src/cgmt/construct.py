@@ -32,7 +32,6 @@ from .core import BudgetExceeded, CgmtError, check_bits, compatible
 from .measure import MeasureBracket, PreconditionMeasure, ShapeTable, htilde
 from .trees import (
     BlockMarking,
-    Condition2Violation,
     NotExtendible,
     ShapeViolation,
     TreeSource,
@@ -80,12 +79,17 @@ class PiecewiseCode:
     """Subtree code kept explicit through a working depth, ambient-backed above.
 
     The explicit part is a BlockMarking through the working depth
-    live_depth, checked by the constructor, every mark a member of the
-    source.  A longer string is marked iff its length-live_depth prefix is
-    marked and the ambient source accepts it, so deeper levels are never
+    live_depth.  A longer string is marked iff its length-live_depth prefix
+    is marked and the ambient source accepts it, so deeper levels are never
     given: trees.grow grows them from the top level on demand, and they are
     kept after the explicit ones.  Instances are immutable by convention;
     refinement steps build new ones.
+
+    Every code is built from levels the library grew from source (or from
+    a code over it), so the constructor checks nothing and asks source
+    nothing: the levels are a tree by construction, as BlockMarking.derived
+    asks, and every mark is a member because source accepted it when it
+    was grown.  Each caller says why in a comment.
     """
 
     __slots__ = ("source", "explicit", "_levels")
@@ -94,42 +98,12 @@ class PiecewiseCode:
         self,
         source: TreeSource,
         live_depth: int,
-        levels: Sequence[frozenset[str]],
-        restriction: bool = False,
-    ):
-        if live_depth < 0:
-            raise CgmtError(f"negative working depth {live_depth}")
-        explicit = BlockMarking(live_depth, levels, restriction=restriction)
-        for level in explicit.levels:
-            for t in level:
-                if not source.member(t):
-                    raise Condition2Violation(t)
-        self._hold(source, explicit)
-
-    def _hold(self, source: TreeSource, explicit: BlockMarking) -> None:
-        self.source = source
-        self.explicit = explicit
-        self._levels: list[frozenset[str]] = list(explicit.levels)
-
-    @classmethod
-    def derived(
-        cls,
-        source: TreeSource,
-        live_depth: int,
         levels: tuple[frozenset[str], ...],
         restriction: bool = False,
-    ) -> "PiecewiseCode":
-        """A code whose explicit marks the library derived from source, unchecked.
-
-        Only for levels that are a tree by construction and whose marks
-        source accepts because they were grown from it (or from a code over
-        it), as BlockMarking.derived asks; source is not asked about them
-        again.  Each caller says why in a comment.  Codes from outside data
-        go through the constructor and its condition-2 loop.
-        """
-        code = object.__new__(cls)
-        code._hold(source, BlockMarking.derived(live_depth, levels, restriction))
-        return code
+    ):
+        self.source = source
+        self.explicit = BlockMarking.derived(live_depth, levels, restriction)
+        self._levels: list[frozenset[str]] = list(levels)
 
     @property
     def live_depth(self) -> int:
@@ -145,7 +119,7 @@ class PiecewiseCode:
         if not source.member(""):
             raise CgmtError(f"{source.name}: the ambient tree is empty")
         # the root, just accepted
-        return cls.derived(source, 0, (frozenset({""}),))
+        return cls(source, 0, (frozenset({""}),))
 
     def top(self) -> frozenset[str]:
         return self.explicit.levels[self.live_depth]
@@ -155,12 +129,6 @@ class PiecewiseCode:
         if length < 0:
             raise CgmtError(f"negative length {length}")
         return grow(self.source.member, self._levels, length, budget)[length]
-
-    def marked(self, sigma: str) -> bool:
-        length = len(sigma)
-        if length <= self.live_depth:
-            return sigma in self.explicit.levels[length]
-        return sigma[: self.live_depth] in self.top() and self.source.member(sigma)
 
     def marking(self, block: int, budget: Optional[int] = None) -> BlockMarking:
         """The code through block; budget bounds the strings it holds."""
@@ -179,7 +147,7 @@ class PiecewiseCode:
             name=f"{self.source.name}|{tau or 'root'}",
         )
         # this code's marks compatible with tau: members of src, parents kept
-        return PiecewiseCode.derived(src, self.live_depth, explicit.levels, restriction=True)
+        return PiecewiseCode(src, self.live_depth, explicit.levels, restriction=True)
 
     def __repr__(self) -> str:
         return (
@@ -194,15 +162,6 @@ def _as_code(z: Union[TreeSource, PiecewiseCode]) -> PiecewiseCode:
     if isinstance(z, TreeSource):
         return PiecewiseCode.root_of(z)
     raise CgmtError(f"expected a tree source or piecewise code, got {type(z).__name__}")
-
-
-def _resolve_prefix(zc: PiecewiseCode, block: int, enforce_floor: bool) -> int:
-    """The block of the committed prefix, checked against the code."""
-    if block < 0:
-        raise CgmtError(f"prefix block must be nonnegative, got {block}")
-    if enforce_floor and block < zc.live_depth:
-        raise CgmtError("interpolation must resume at or beyond the explicit working depth")
-    return block
 
 
 # -- interpolation ------------------------------------------------------------------
@@ -249,7 +208,11 @@ def interpolate_subset(
         raise CgmtError("eps must be positive")
     if c_w.sign() < 0:
         raise CgmtError("the target lower bound must be nonnegative")
-    n_prime = _resolve_prefix(zc, nu, enforce_floor=True)
+    if nu < 0:
+        raise CgmtError(f"prefix block must be nonnegative, got {nu}")
+    if nu < zc.live_depth:
+        raise CgmtError("interpolation must resume at or beyond the explicit working depth")
+    n_prime = nu
     if n_prime < n:
         raise CgmtError("the prefix block must be at least the granularity")
 
@@ -382,7 +345,7 @@ def _probe(
     levels = list(big.levels[: n_prime + 1])
     levels.extend(frozenset(t[:length] for t in top) for length in range(n_prime + 1, m + 1))
     # levels of big, grown from zc, filtered with every mark's parent kept
-    code = PiecewiseCode.derived(zc.source, m, tuple(levels), restriction=zc.restriction)
+    code = PiecewiseCode(zc.source, m, tuple(levels), restriction=zc.restriction)
     upper_block, upper = max(window_values, key=lambda kv: (kv[1], kv[0]))
     bracket = MeasureBracket(c_w, upper, deep, upper_block)
     return InterpolationResult(code, bracket, m, index, window_values)
@@ -461,7 +424,8 @@ def thinify(
     s_frac = Fraction(s)
     if s_frac <= 0:
         raise PreconditionMeasure("thinning needs s > 0")
-    floor = _resolve_prefix(zc, nu, enforce_floor=False)
+    if nu < 0:
+        raise CgmtError(f"prefix block must be nonnegative, got {nu}")
     theta_w = as_weight(theta)
     c_w = as_weight(c)
     baseline = cylinder_weight(s_frac, n)
@@ -470,7 +434,7 @@ def thinify(
     current = zc
     reports = []
     for tau in sorted(zc.level(n, budget)):
-        start = max(floor, current.live_depth, n + 1)
+        start = max(nu, current.live_depth, n + 1)
         check_block = start + window
         restricted = current.restricted(tau)
         value = htilde(
@@ -493,9 +457,7 @@ def thinify(
         )
         # the union of two trees grown from current.source (the refined one
         # over its restriction to tau) is a tree of its members
-        current = PiecewiseCode.derived(
-            current.source, new_depth, merged, restriction=current.restriction
-        )
+        current = PiecewiseCode(current.source, new_depth, merged, restriction=current.restriction)
         reports.append(
             BranchReport(tau, False, refined.bracket.upper, refined.bracket.upper_block)
         )
@@ -725,7 +687,7 @@ def baire_intersect(
         stem = found
     if len(stem) > depth:
         raise CgmtError(f"constructed stem is longer than the requested depth {depth}")
-    return leftmost_extension_path(src, stem).prefix(depth)
+    return leftmost_extension_path(src, stem, depth)
 
 
 def dense_monotone_min(
@@ -756,6 +718,7 @@ def dense_monotone_min(
             answer = density(stem, eps)
             if (
                 isinstance(answer, str)
+                and not answer.strip("01")
                 and answer.startswith(stem)
                 and extendible(answer)
             ):
@@ -781,7 +744,7 @@ def dense_monotone_min(
             raise CgmtError("callback value increased along the chain; not monotone")
         previous = value
         records.append((stage, eps, stem, value))
-    path = leftmost_extension_path(src, stem).prefix(max(depth, len(stem)))
+    path = leftmost_extension_path(src, stem, max(depth, len(stem)))
     return path, DensityCertificate(alpha=target.alpha, records=tuple(records))
 
 
@@ -810,12 +773,12 @@ def lebesgue_path(
         raise PromiseViolated(cap)
     counts = src.extension_count
     if counts is None:
-        code = PiecewiseCode(src, 0, (frozenset({""}),))
+        levels = [frozenset({""})]  # the root, just accepted
 
         def counts(tau: str, m: int) -> int:
             if m < len(tau):
                 return 0
-            return sum(1 for t in code.level(m, budget) if t.startswith(tau))
+            return sum(1 for t in grow(src.member, levels, m, budget)[m] if t.startswith(tau))
 
     path = ""
     for k in range(depth):

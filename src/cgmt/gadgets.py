@@ -78,10 +78,6 @@ class InjectionTable:
                 return k
         return None
 
-    @staticmethod
-    def tabulate(f: Callable[[int], int], horizon: int) -> "InjectionTable":
-        return InjectionTable(tuple(f(k) for k in range(horizon)))
-
 
 def marker(n: int) -> str:
     """The string of n zeros followed by a single 1."""

@@ -160,6 +160,8 @@ def certificate_from_obj(obj: dict) -> RefinementCertificate:
         dimension = Fraction(_field(obj, "dimension", str))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed certificate object: dimension {obj['dimension']!r}") from exc
+    if dimension < 0:
+        raise ParseError(f"malformed certificate object: negative dimension {obj['dimension']!r}")
     lower = _field(obj, "lower", dict)
     upper = _field(obj, "upper", dict)
     witness = _field(upper, "witness", dict)

@@ -13,9 +13,10 @@ length) class instead; without states, every member is a class.
 
 A subset inside an ambient tree is a BlockMarking too: its conditions are
 a tree shape (the constructor), membership of every mark in the ambient
-tree (checked where a code over a source is built from outside data), and
-nothing else.  Levels may be empty: a marking that dies below its block
-is still a finite tree, and its values say so.
+tree, and nothing else.  Membership holds by construction, since every
+code's marks are grown from its ambient source by the oracles, and tests
+check it with assert_code_conditions.  Levels may be empty: a marking
+that dies below its block is still a finite tree, and its values say so.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ class CodeViolation(CgmtError):
     """A finite tree violates the marking discipline.
 
     condition: 0 shape (level count, binary marks of their level's
-    length), 1 prefix-closure, 2 ambient membership.  witness: offending
-    mark (or block rendered as a decimal string, for condition 0).
+    length), 1 prefix-closure.  witness: offending mark (or block rendered
+    as a decimal string, for condition 0).
     """
 
     def __init__(self, condition: int, witness: str, detail: str):
@@ -52,11 +53,6 @@ class ShapeViolation(CodeViolation):
 class Condition1Violation(CodeViolation):
     def __init__(self, witness: str):
         super().__init__(1, witness, "marked string with unmarked parent")
-
-
-class Condition2Violation(CodeViolation):
-    def __init__(self, witness: str):
-        super().__init__(2, witness, "marked string outside the ambient tree")
 
 
 # -- tree sources -------------------------------------------------------------
@@ -330,9 +326,6 @@ class BlockMarking:
             return frozenset()
         return self.levels[length]
 
-    def is_marked(self, s: str) -> bool:
-        return s in self.marked_at(len(s))
-
     def cut(self, block: int) -> "BlockMarking":
         """The same marks through a block no deeper than this one."""
         if not -1 <= block <= self.block:
@@ -370,10 +363,6 @@ class BlockMarking:
             member=member, extendible=extendible, extension_count=count, name=f"truncated:{depth}"
         )
 
-    @staticmethod
-    def empty() -> "BlockMarking":
-        return BlockMarking(-1, ())
-
 
 def prefix_closure(top: Iterable[str], depth: int) -> tuple[frozenset[str], ...]:
     """Per length 0..depth, the prefixes of the length-depth strings in top."""
@@ -383,46 +372,24 @@ def prefix_closure(top: Iterable[str], depth: int) -> tuple[frozenset[str], ...]
     return tuple(reversed(levels))
 
 
-def marking_of_source(src: TreeSource, block: int, budget: Optional[int] = None) -> BlockMarking:
-    """Canonical marking of the tree itself through the given block."""
-    levels = tuple(levels_of_source(src, block, budget))
-    # child expansion from {""} leaves every mark with its parent marked
-    return BlockMarking.derived(block, levels, restriction=not all(levels))
-
-
 # -- paths ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathGenerator:
-    """Deterministic infinite binary sequence, queried by prefix length."""
+def leftmost_extension_path(src: TreeSource, stem: str, length: int) -> str:
+    """The first length bits of the leftmost infinite path through stem.
 
-    prefix_fn: Callable[[int], str]
-    name: str = "path"
-
-    def prefix(self, length: int) -> str:
-        out = self.prefix_fn(length)
-        if len(out) != length or (out and out.strip("01")):
-            raise CgmtError(f"{self.name}: generator returned a bad prefix")
-        return out
-
-
-def leftmost_extension_path(src: TreeSource, stem: str) -> PathGenerator:
+    stem must be extendible and no longer than length; below it the path
+    takes the 0-child whenever that child is extendible.
+    """
     ext = src.require_extendible()
     if not ext(stem):
         raise NotExtendible(f"{src.name}: {stem!r} is not extendible")
-    grown = [stem]
-
-    def prefix_fn(length: int) -> str:
-        cur = grown[0]
-        while len(cur) < length:
-            if ext(cur + "0"):
-                cur += "0"
-            elif ext(cur + "1"):
-                cur += "1"
-            else:
-                raise NotExtendible(f"{src.name}: dead end below {stem!r}")
-        grown[0] = cur
-        return cur[:length]
-
-    return PathGenerator(prefix_fn, name=f"leftmost:{stem or 'root'}")
+    path = stem
+    while len(path) < length:
+        if ext(path + "0"):
+            path += "0"
+        elif ext(path + "1"):
+            path += "1"
+        else:
+            raise NotExtendible(f"{src.name}: dead end below {stem!r}")
+    return path

@@ -1,5 +1,8 @@
 """Tree-spec documents: JSON descriptions of closed sets, parsed to sources.
 
+The JSON document is the declarative form: spec_from_obj checks its
+fields and builds the TreeSource it describes, with no stage between.
+
 Three kinds are accepted:
 
   builtin    {"kind": "builtin", "name": "full" | "branch-left" |
@@ -20,7 +23,6 @@ deep mass computations work without enumeration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -47,26 +49,6 @@ BUILTIN_NAMES = ("full", "branch-left", "branch-right", "dyadic(p/q)")
 _RUN_MEMO_CHARS = 1 << 20
 
 
-@dataclass(frozen=True)
-class TreeSpec:
-    """Parsed spec document, still declarative; source() materializes it."""
-
-    kind: str
-    name: Optional[str] = None
-    depth: Optional[int] = None
-    members: Optional[tuple[str, ...]] = None
-    transitions: Optional[tuple[tuple[int, int], ...]] = None
-    accepting: Optional[frozenset[int]] = None
-    start: int = 0
-
-    def source(self) -> TreeSource:
-        if self.kind == "builtin":
-            return _builtin_source(self.name)
-        if self.kind == "explicit":
-            return _explicit_source(self.members, self.depth)
-        return _automatic_source(self.transitions, self.accepting, self.start)
-
-
 def _parse_dyadic(text: str) -> tuple[int, int]:
     try:
         c = Fraction(text)
@@ -80,22 +62,20 @@ def _parse_dyadic(text: str) -> tuple[int, int]:
     return c.numerator, k
 
 
-def _builtin_source(name: Optional[str]) -> TreeSource:
+def _builtin_source(name: str) -> TreeSource:
     if name == "full":
         return full_tree()
     if name == "branch-left":
         return rooted_tree("0")
     if name == "branch-right":
         return rooted_tree("1")
-    if name and name.startswith("dyadic(") and name.endswith(")"):
+    if name.startswith("dyadic(") and name.endswith(")"):
         p, k = _parse_dyadic(name[len("dyadic(") : -1])
         return dyadic_tree(p, k)
     raise UnknownBuiltin(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}")
 
 
-def _explicit_source(members: Optional[Sequence[str]], depth: Optional[int]) -> TreeSource:
-    if depth is None or members is None:
-        raise ParseError("explicit spec needs depth and members")
+def _explicit_source(members: Sequence[str], depth: int) -> TreeSource:
     levels: list[set[str]] = [set() for _ in range(depth + 1)]
     for s in members:
         try:
@@ -114,12 +94,10 @@ def _explicit_source(members: Optional[Sequence[str]], depth: Optional[int]) -> 
 
 
 def _automatic_source(
-    transitions: Optional[Sequence[Sequence[int]]],
-    accepting: Optional[frozenset[int]],
+    transitions: Sequence[Sequence[int]],
+    accepting: frozenset[int],
     start: int,
 ) -> TreeSource:
-    if transitions is None or accepting is None:
-        raise ParseError("automatic spec needs transitions and accepting")
     states = len(transitions)
     if states == 0:
         raise ParseError("automatic spec needs at least one state")
@@ -266,7 +244,8 @@ def _live_states(table, accepting) -> frozenset[int]:
     return frozenset(live)
 
 
-def spec_from_obj(obj: dict) -> TreeSpec:
+def spec_from_obj(obj: dict) -> TreeSource:
+    """The source a spec document describes; ParseError if it is malformed."""
     if not isinstance(obj, dict):
         raise ParseError(f"spec document must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -274,7 +253,7 @@ def spec_from_obj(obj: dict) -> TreeSpec:
         name = obj.get("name")
         if not isinstance(name, str):
             raise ParseError("builtin spec needs a name")
-        return TreeSpec(kind="builtin", name=name)
+        return _builtin_source(name)
     if kind == "explicit":
         depth = obj.get("depth")
         members = obj.get("members")
@@ -282,7 +261,7 @@ def spec_from_obj(obj: dict) -> TreeSpec:
             raise ParseError(f"explicit spec needs a nonnegative integer depth, got {depth!r}")
         if not isinstance(members, list) or not all(isinstance(s, str) for s in members):
             raise ParseError("explicit spec needs a list of member strings")
-        return TreeSpec(kind="explicit", depth=depth, members=tuple(members))
+        return _explicit_source(members, depth)
     if kind == "automatic":
         transitions = obj.get("transitions")
         accepting = obj.get("accepting")
@@ -293,12 +272,7 @@ def spec_from_obj(obj: dict) -> TreeSpec:
         start = obj.get("start", 0)
         if not isinstance(start, int):
             raise ParseError(f"start must be an integer, got {start!r}")
-        return TreeSpec(
-            kind="automatic",
-            transitions=tuple(tuple(r) for r in transitions),
-            accepting=frozenset(accepting),
-            start=start,
-        )
+        return _automatic_source(transitions, frozenset(accepting), start)
     shown = repr(kind) if isinstance(kind, str) else f"of type {type(kind).__name__}"
     raise ParseError(f"unknown spec kind {shown}; expected builtin, explicit, or automatic")
 
@@ -312,7 +286,7 @@ def parse_spec_text(text: str) -> TreeSource:
         obj = json.loads(stripped)
     except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    return spec_from_obj(obj).source()
+    return spec_from_obj(obj)
 
 
 def parse_spec(path: str) -> TreeSource:

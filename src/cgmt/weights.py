@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
@@ -40,12 +39,6 @@ from .core import CgmtError, ParseError
 Rationalish = Union[int, Fraction]
 
 _MAX_REFINE_BITS = 1 << 20
-
-
-class Ordering(IntEnum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
 
 
 def _nth_root_floor(x: int, n: int) -> int:
@@ -359,12 +352,6 @@ class AlgebraicWeight:
         body = f"{whole}.{frac:0{digits}d}"
         return body if sgn > 0 else "-" + body
 
-    def __float__(self) -> float:
-        if self.q == 1:
-            return float(self.coeffs[0])
-        lo, hi = _interval_value(self.coeffs, self.q, 128)
-        return float((lo + hi) / 2)
-
     def __repr__(self) -> str:
         terms = [f"{r}*u{j}" for j, r in enumerate(self.coeffs) if r]
         inner = " + ".join(terms) if terms else "0"
@@ -399,13 +386,6 @@ class AlgebraicWeight:
         if AlgebraicWeight._make(q, dict(enumerate(coeffs))).coeffs != coeffs:
             raise ParseError(f"weight object is not in canonical form: {obj!r}")
         return AlgebraicWeight(q, coeffs)
-
-
-ZERO = AlgebraicWeight.zero()
-
-
-def compare(a: AlgebraicWeight, b: AlgebraicWeight) -> Ordering:
-    return Ordering((a - b).sign())
 
 
 @lru_cache(maxsize=None)

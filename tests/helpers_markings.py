@@ -4,7 +4,7 @@ import itertools
 import random
 
 from cgmt.measure import count_covers
-from cgmt.trees import BlockMarking, TreeSource, prefix_closure
+from cgmt.trees import BlockMarking, TreeSource, levels_of_source, prefix_closure
 
 ENUM_BUDGET = 20_000
 
@@ -30,6 +30,12 @@ def assert_code_conditions(marking: BlockMarking, ambient: TreeSource, pruned: b
             assert ambient.member(t), f"condition 2 at {t!r}"
             if pruned and length < marking.block:
                 assert {t + "0", t + "1"} & marking.levels[length + 1], f"condition 4 at {t!r}"
+
+
+def marking_of_source(src: TreeSource, block: int, budget=None) -> BlockMarking:
+    """The tree of src through block: levels_of_source, checked by the constructor."""
+    levels = levels_of_source(src, block, budget)
+    return BlockMarking(block, levels, restriction=not all(levels))
 
 
 def tree_of(strings, depth: int) -> BlockMarking:
@@ -66,10 +72,10 @@ def grown_source(t: BlockMarking) -> TreeSource:
     d = t.block
 
     def member(s: str) -> bool:
-        return t.is_marked(s) if len(s) <= d else t.is_marked(s[:d])
+        return s in t.marked_at(len(s)) if len(s) <= d else s[:d] in t.marked_at(d)
 
     def extendible(s: str) -> bool:
-        return live.is_marked(s) if len(s) <= d else t.is_marked(s[:d])
+        return s in live.marked_at(len(s)) if len(s) <= d else s[:d] in t.marked_at(d)
 
     def count(tau: str, m: int) -> int:
         if m <= d:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_markings import grown_source, random_marking, tree_of
+from helpers_markings import grown_source, marking_of_source, random_marking, tree_of
 
 from cgmt.cli import run_verify_suite
 from cgmt.construct import (
@@ -44,7 +44,6 @@ from cgmt.trees import (
     TreeSource,
     dyadic_tree,
     full_tree,
-    marking_of_source,
     rooted_tree,
 )
 from cgmt.weights import AlgebraicWeight

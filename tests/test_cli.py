@@ -112,29 +112,29 @@ class TestTreeSpecExplicit:
     DOC = {"kind": "explicit", "depth": 2, "members": ["", "0", "00", "01"]}
 
     def test_members_match_listing(self):
-        src = spec_from_obj(self.DOC).source()
+        src = spec_from_obj(self.DOC)
         assert src.member("") and src.member("0") and src.member("00") and src.member("01")
         assert not src.member("1") and not src.member("10")
         assert not src.member("000")
 
     def test_depth_capped_extendibility(self):
-        src = spec_from_obj(self.DOC).source()
+        src = spec_from_obj(self.DOC)
         assert src.extendible("0") and src.extendible("01")
         assert not src.extendible("1")
 
     def test_not_prefix_closed_witness(self):
         with pytest.raises(NotPrefixClosed) as info:
-            spec_from_obj({"kind": "explicit", "depth": 2, "members": ["", "01"]}).source()
+            spec_from_obj({"kind": "explicit", "depth": 2, "members": ["", "01"]})
         assert info.value.witness == "01"
 
     def test_missing_root_witnessed(self):
         with pytest.raises(NotPrefixClosed) as info:
-            spec_from_obj({"kind": "explicit", "depth": 1, "members": ["0"]}).source()
+            spec_from_obj({"kind": "explicit", "depth": 1, "members": ["0"]})
         assert info.value.witness == "0"
 
     def test_rejects_overlong_members(self):
         with pytest.raises(ParseError, match="longer than depth"):
-            spec_from_obj({"kind": "explicit", "depth": 1, "members": ["", "0", "00"]}).source()
+            spec_from_obj({"kind": "explicit", "depth": 1, "members": ["", "0", "00"]})
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ParseError):
@@ -154,7 +154,7 @@ class TestTreeSpecExplicit:
                 members.update(frontier)
             listed = sorted(members) + rng.sample(sorted(members), len(members) // 3)
             rng.shuffle(listed)
-            src = spec_from_obj({"kind": "explicit", "depth": depth, "members": listed}).source()
+            src = spec_from_obj({"kind": "explicit", "depth": depth, "members": listed})
             counts = {}
             for t in members:
                 for k in range(len(t) + 1):
@@ -169,7 +169,7 @@ class TestTreeSpecExplicit:
     def test_deep_single_branch_is_cheap(self):
         start = time.monotonic()
         members = ["1" * k for k in range(41)]
-        src = spec_from_obj({"kind": "explicit", "depth": 40, "members": members}).source()
+        src = spec_from_obj({"kind": "explicit", "depth": 40, "members": members})
         assert src.member("1" * 40) and src.member("1" * 17)
         assert not src.member("1" * 39 + "0") and not src.member("1" * 41)
         assert src.extendible("") and src.extendible("1" * 40)
@@ -187,13 +187,13 @@ class TestTreeSpecAutomatic:
     }
 
     def test_recognizes_branch_left(self):
-        src = spec_from_obj(self.LEFT).source()
+        src = spec_from_obj(self.LEFT)
         assert src.member("") and src.member("0") and src.member("011")
         assert not src.member("1") and not src.member("10")
         assert src.extendible("011")
 
     def test_closed_form_counts_match_enumeration(self):
-        src = spec_from_obj(self.LEFT).source()
+        src = spec_from_obj(self.LEFT)
         for m in range(9):
             direct = sum(
                 1
@@ -207,7 +207,7 @@ class TestTreeSpecAutomatic:
         doc = {"kind": "automatic", "transitions": [[1, 0], [0, 1]], "accepting": [0]}
         # acceptance counts 0-parity, so "0" is rejected but "00" accepted
         with pytest.raises(NotPrefixClosed) as info:
-            spec_from_obj(doc).source()
+            spec_from_obj(doc)
         assert info.value.witness == "00"
 
     def test_dead_branch_not_extendible(self):
@@ -216,17 +216,17 @@ class TestTreeSpecAutomatic:
             "transitions": [[1, 2], [2, 2], [2, 2]],
             "accepting": [0, 1],
         }
-        src = spec_from_obj(doc).source()
+        src = spec_from_obj(doc)
         assert src.member("0") and not src.member("00")
         assert not src.extendible("0") and not src.extendible("")
 
     def test_rejects_malformed_tables(self):
         with pytest.raises(ParseError, match="two transitions"):
-            spec_from_obj({"kind": "automatic", "transitions": [[0]], "accepting": [0]}).source()
+            spec_from_obj({"kind": "automatic", "transitions": [[0]], "accepting": [0]})
         with pytest.raises(ParseError, match="out of range"):
-            spec_from_obj({"kind": "automatic", "transitions": [[0, 5]], "accepting": [0]}).source()
+            spec_from_obj({"kind": "automatic", "transitions": [[0, 5]], "accepting": [0]})
         with pytest.raises(ParseError, match="accepting state"):
-            spec_from_obj({"kind": "automatic", "transitions": [[0, 0]], "accepting": [3]}).source()
+            spec_from_obj({"kind": "automatic", "transitions": [[0, 0]], "accepting": [3]})
 
 
 class TestTreeSpecFiles:
@@ -445,6 +445,7 @@ class TestCliCommands:
             ("stage", "x"),
             ("theta", {"q": 1}),
             ("theta", {"q": "a", "coeffs": ["1"]}),
+            ("dimension", "-1/2"),
         ],
     )
     def test_cover_verify_rejects_malformed_fields(self, capsys, tmp_path, field, value):
@@ -485,6 +486,10 @@ class TestCliCommands:
     def test_lebesgue_and_baire(self, capsys, tmp_path):
         doc = run_json(capsys, "lebesgue-path", "--tree", "branch-left", "--c", "1/2",
                        "--depth", "8")
+        assert doc["results"]["path"] == "01111111"
+        # a rational as a weight object is the same promise
+        doc = run_json(capsys, "lebesgue-path", "--tree", "branch-left",
+                       "--c", '{"q": 1, "coeffs": ["1/2"]}', "--depth", "8")
         assert doc["results"]["path"] == "01111111"
         opens = tmp_path / "opens.json"
         opens.write_text(json.dumps([["0"], ["00", "01"], ["000", "0110"]]), encoding="utf-8")
@@ -594,6 +599,13 @@ class TestCliExitCodes:
         (EXIT_PARSE, ("thin", "--tree", "full", "--s", "1/2", "--n", "1", "--c", "1",
                       "--theta", "1/0")),
         (EXIT_PARSE, ("lebesgue-path", "--tree", "full", "--c", "{", "--depth", "3")),
+        (EXIT_USAGE, ("lebesgue-path", "--tree", "full", "--c", '{"q": 2, "coeffs": ["0", "1"]}',
+                      "--depth", "3")),
+        (EXIT_USAGE, ("extract", "--tree", "full", "--s", "1", "--n", "0", "--c=-1",
+                      "--eps", "1/4")),
+        (EXIT_USAGE, ("extract-pruned", "--tree", "full", "--s", "1", "--n", "0", "--c=-1",
+                      "--eps", "1/4")),
+        (EXIT_USAGE, ("besicovitch", "--tree", "full", "--s", "1/2", "--c=-1", "--stages", "3")),
     ])
     def test_constant_range(self, capsys, code, argv):
         try:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_markings import assert_code_conditions, grown_source, tree_of
+from helpers_markings import assert_code_conditions, grown_source, marking_of_source, tree_of
 
 from cgmt.core import BudgetExceeded, CgmtError
 from cgmt.construct import (
@@ -39,7 +39,6 @@ from cgmt.trees import (
     dyadic_tree,
     full_tree,
     levels_of_source,
-    marking_of_source,
     rooted_tree,
 )
 from cgmt.weights import AlgebraicWeight, ScaledRing
@@ -94,48 +93,44 @@ def test_root_code_shape():
     assert zc.live_depth == 0
     assert zc.top() == {""}
     assert len(zc.level(3)) == 8
-    assert zc.marked("101")
+    assert "101" in zc.level(3)
     assert not zc.restriction
     marking = zc.marking(2)
     assert [len(level) for level in marking.levels] == [1, 2, 4]
 
 
-def test_code_rejects_bad_levels():
-    with pytest.raises(CgmtError):
-        PiecewiseCode(full_tree(), 2, (frozenset([""]), frozenset(["0"]), frozenset(["11"])))
-    with pytest.raises(CgmtError):
-        PiecewiseCode(rooted_tree("0"), 1, (frozenset([""]), frozenset(["1"])))
-    with pytest.raises(CgmtError):
-        PiecewiseCode(full_tree(), 1, (frozenset([""]),))
-
-
 def test_derived_codes_are_not_asked_again(monkeypatch):
-    # restrictions, sweep results and thinning merges are grown from their
-    # source, so building them asks the source (the jump oracle, on a pruned
-    # ambient) nothing; only codes from outside data take the checking constructor
+    # every code's levels are grown from its source, so building one (directly,
+    # as a restriction, a sweep result or a thinning merge) asks the source
+    # (the jump oracle, on a pruned ambient) nothing
     src, calls = counting_source(full_tree())
     code = PiecewiseCode(src, 4, marking_of_source(full_tree(), 4).levels)
-    assert calls["member"] == 31  # the constructor's check of outside levels
     restricted = code.restricted("01")
-    assert calls["member"] == 31
+    assert calls == {"member": 0, "extendible": 0}
     assert restricted.level(4) == {s for s in code.level(4) if s.startswith("01")}
 
-    def checked(*args, **kwargs):
-        raise AssertionError("a code the library derived went through the check")
+    build = PiecewiseCode.__init__
+    built = []
 
-    monkeypatch.setattr(PiecewiseCode, "__init__", checked)
+    def unasked(self, *args, **kwargs):
+        before = dict(calls)
+        build(self, *args, **kwargs)
+        assert calls == before, "building a code asked its source"
+        built.append(self)
+
+    monkeypatch.setattr(PiecewiseCode, "__init__", unasked)
     src, calls = counting_source(full_tree())
     _, certs = besicovitch_extract(src, HALF, 1, 0, 3)
     assert all(cert.verify() for cert in certs)
-    assert calls["extendible"] > 0
+    assert len(built) > 1 and calls["extendible"] > 0
 
 
 def test_restricted_code_filters():
     zc = PiecewiseCode.root_of(full_tree()).restricted("1")
     assert zc.restriction
     assert zc.level(2) == {"10", "11"}
-    assert not zc.marked("01")
-    assert zc.marked("110")
+    assert "01" not in zc.level(2)
+    assert "110" in zc.level(3)
 
 
 def test_code_prefix_roundtrip():
@@ -295,7 +290,7 @@ NO_11 = {"kind": "automatic", "transitions": [[0, 1], [0, 2], [2, 2]], "acceptin
 SWEEP_CODES = {
     "full": lambda: PiecewiseCode.root_of(full_tree()),
     "dyadic(5/8)": lambda: PiecewiseCode.root_of(dyadic_tree(5, 3)),
-    "no-11": lambda: PiecewiseCode.root_of(spec_from_obj(NO_11).source()),
+    "no-11": lambda: PiecewiseCode.root_of(spec_from_obj(NO_11)),
     "restricted": lambda: PiecewiseCode.root_of(dyadic_tree(5, 3)).restricted("10"),
 }
 
@@ -655,6 +650,20 @@ def test_dense_min_dishonest_callback():
             density=lambda stem, eps: "11",
             depth=8,
         )
+
+
+def test_dense_min_rejects_a_non_binary_answer():
+    # the full tree's extendibility callback accepts any string, so the
+    # answer's bits are checked with the other answer conditions, at its stage
+    with pytest.raises(DensityViolated) as info:
+        dense_monotone_min(
+            full_tree(),
+            MonotoneFn(lambda s: W(0)),
+            DensityTarget.geometric(W(0), 3),
+            density=lambda stem, eps: stem + "0x0x" if stem else "0",
+            depth=8,
+        )
+    assert info.value.stage == 1
 
 
 def test_dense_min_monotone_chain_guard():

@@ -38,8 +38,8 @@ def exactly(value: AlgebraicWeight, expected) -> bool:
     return (value - W(expected)).is_zero()
 
 
-EVENS10 = InjectionTable.tabulate(lambda k: 2 * k, 10)
-IDENT10 = InjectionTable.tabulate(lambda k: k, 10)
+EVENS10 = InjectionTable(tuple(2 * k for k in range(10)))
+IDENT10 = InjectionTable(tuple(k for k in range(10)))
 
 
 def random_table(rng: random.Random, horizon: int, universe: int) -> InjectionTable:
@@ -53,9 +53,6 @@ class TestInjectionTable:
         assert t.range_at_horizon() == frozenset({0, 3, 7})
         assert t.witness(7) == 2
         assert t.witness(1) is None
-
-    def test_tabulate(self):
-        assert InjectionTable.tabulate(lambda k: k * k, 4).values == (0, 1, 4, 9)
 
     def test_rejects_collision(self):
         with pytest.raises(CgmtError, match="distinct"):
@@ -346,7 +343,7 @@ class TestBuildGadget:
 
 class TestCheckGadget:
     def test_evens_decode_exactly(self):
-        t = InjectionTable.tabulate(lambda k: 2 * k, 8)
+        t = InjectionTable(tuple(2 * k for k in range(8)))
         for kind in ("marker-tree", "point-sequence", "column-tree", "deficit-min"):
             depth = max(required_depth(kind, t), 16)
             report = check_gadget(build_gadget(kind, t, depth), t)
@@ -355,7 +352,7 @@ class TestCheckGadget:
             assert decoded == {0, 2, 4, 6}
 
     def test_identity_decodes_all_in_range(self):
-        t = InjectionTable.tabulate(lambda k: k, 8)
+        t = InjectionTable(tuple(k for k in range(8)))
         for kind in ("marker-tree", "point-sequence", "column-tree", "deficit-min"):
             depth = max(required_depth(kind, t), 16)
             report = check_gadget(build_gadget(kind, t, depth), t)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from helpers_markings import cyclic_automaton, pruned, random_marking, tree_of
+from helpers_markings import cyclic_automaton, marking_of_source, pruned, random_marking, tree_of
 
 from cgmt.core import BudgetExceeded, CgmtError
 from cgmt.measure import (
@@ -25,7 +25,6 @@ from cgmt.trees import (
     BlockMarking,
     dyadic_tree,
     full_tree,
-    marking_of_source,
     prefix_closure,
     quotient_of_source,
     rooted_tree,
@@ -45,7 +44,7 @@ def marking_of(*levels: set) -> BlockMarking:
 
 
 def test_case2_short_prefix():
-    v = htilde(BlockMarking.empty(), HALF, 2)
+    v = htilde(BlockMarking(-1, ()), HALF, 2)
     assert v.value == W.from_rational(2)
     assert v.witness.strings == {"00", "01", "10", "11"}
 
@@ -413,7 +412,7 @@ def test_measure_sequence_checks_one_marking(monkeypatch):
     )
     explicit = spec_from_obj(
         {"kind": "explicit", "depth": 8, "members": ["", "0", "1", "01", "010", "0101"]}
-    ).source()
+    )
     assert derived == [8]
     for src in (full_tree(), enumerated(full_tree()), explicit):
         values = measure_sequence(src, HALF, 1, [3, 5, 8])
@@ -460,7 +459,7 @@ def seeded_automata(count: int, block: int = 16, held=(1_000, 40_000)) -> list:
     rng = random.Random("quotient")
     found = []
     for _ in range(1000):
-        src = spec_from_obj(cyclic_automaton(rng)).source()
+        src = spec_from_obj(cyclic_automaton(rng))
         if held[0] <= sum(src.extension_count("", m) for m in range(block + 1)) <= held[1]:
             found.append(src)
             if len(found) == count:
@@ -481,7 +480,7 @@ def test_quotient_equals_enumeration_on_seeded_automata():
 
 @pytest.mark.parametrize("src", [
     full_tree(), rooted_tree("0"), dyadic_tree(5, 3), dyadic_tree(3, 2),
-    spec_from_obj(DIES).source(),
+    spec_from_obj(DIES),
 ], ids=["full", "branch-left", "dyadic(5/8)", "dyadic(3/4)", "dies-out"])
 def test_quotient_equals_enumeration_on_builtins(src):
     # value and witness, against htilde on the grown marking and against the
@@ -500,7 +499,7 @@ def test_quotient_equals_enumeration_on_builtins(src):
 
 
 def test_quotient_equals_bruteforce_to_block_7():
-    sources = [full_tree(), dyadic_tree(5, 3), spec_from_obj(DIES).source()]
+    sources = [full_tree(), dyadic_tree(5, 3), spec_from_obj(DIES)]
     sources += seeded_automata(3, block=7, held=(20, 200))
     for src in sources:
         marking = marking_of_source(enumerated(src), 7)
@@ -514,7 +513,7 @@ def test_quotient_equals_bruteforce_to_block_7():
 
 @pytest.mark.parametrize("src", [
     full_tree(), rooted_tree("101"), dyadic_tree(5, 3), dyadic_tree(7, 4),
-    spec_from_obj(DIES).source(), *seeded_automata(2, block=8, held=(50, 500)),
+    spec_from_obj(DIES), *seeded_automata(2, block=8, held=(50, 500)),
 ], ids=["full", "rooted:101", "dyadic(5/8)", "dyadic(7/16)", "dies-out", "auto0", "auto1"])
 def test_state_contract(src):
     # members of one length with equal states: the same children, in equal states

@@ -5,6 +5,7 @@ import pytest
 from helpers_markings import (
     assert_code_conditions,
     cyclic_automaton,
+    marking_of_source,
     pruned,
     strings_through,
     tree_of,
@@ -17,13 +18,12 @@ from cgmt.treespec import spec_from_obj
 from cgmt.trees import (
     BlockMarking,
     Condition1Violation,
-    Condition2Violation,
     NotExtendible,
+    ShapeViolation,
     TreeSource,
     dyadic_tree,
     full_tree,
     leftmost_extension_path,
-    marking_of_source,
     prefix_closure,
     rooted_tree,
 )
@@ -40,7 +40,7 @@ def test_validate_full_code():
     code = marking_of_source(full_tree(), 2)
     assert_code_conditions(code, full_tree())
     assert [len(level) for level in code.levels] == [1, 2, 4]
-    assert code.is_marked("01")
+    assert "01" in code.marked_at(2)
 
 
 def test_validate_prefix_closure():
@@ -51,9 +51,6 @@ def test_validate_prefix_closure():
 
 
 def test_validate_ambient():
-    with pytest.raises(Condition2Violation) as e:
-        PiecewiseCode(rooted_tree("0"), 1, ({""}, {"1"}))
-    assert e.value.witness == "1"
     with pytest.raises(AssertionError, match="condition 2"):
         assert_code_conditions(BlockMarking(1, ({""}, {"1"})), rooted_tree("0"))
 
@@ -112,6 +109,14 @@ def test_validator_matches_bruteforce():
 # -- truncations ----------------------------------------------------------------
 
 
+def test_marking_rejects_bad_levels():
+    # a mark whose parent is unmarked, and one level too few for the block
+    with pytest.raises(Condition1Violation):
+        BlockMarking(2, (frozenset([""]), frozenset(["0"]), frozenset(["11"])))
+    with pytest.raises(ShapeViolation, match="1 levels for block 1"):
+        BlockMarking(1, (frozenset([""]),))
+
+
 def test_truncation_rejects_non_prefix_closed():
     with pytest.raises(CgmtError):
         BlockMarking(1, (frozenset(), frozenset({"0"})))
@@ -120,15 +125,15 @@ def test_truncation_rejects_non_prefix_closed():
 def test_from_strings_collects_prefixes():
     t = tree_of(["01"], 2)
     assert sorted(t.marked_at(1)) == ["0"]
-    assert t.is_marked("") and t.is_marked("0") and t.is_marked("01")
-    assert not t.is_marked("1") and not t.is_marked("00")
+    assert "" in t.marked_at(0) and "0" in t.marked_at(1) and "01" in t.marked_at(2)
+    assert "1" not in t.marked_at(1) and "00" not in t.marked_at(2)
 
 
 def test_prune_removes_dead_branch():
     t = tree_of(["000", "10"], 3)
     p = pruned(t)
-    assert not p.is_marked("10") and not p.is_marked("1")
-    assert p.is_marked("00")
+    assert "10" not in p.marked_at(2) and "1" not in p.marked_at(1)
+    assert "00" in p.marked_at(2)
     assert p.marked_at(3) == t.marked_at(3)
 
 
@@ -155,7 +160,7 @@ def test_prune_random_trees():
                 survives = any(
                     deep.startswith(s) for deep in t.marked_at(depth)
                 )
-                assert p.is_marked(s) == survives
+                assert (s in p.marked_at(length)) == survives
 
 
 def test_full_truncation_counts():
@@ -175,7 +180,7 @@ def test_source_conversion():
 
 def test_source_marking_before_block_zero_is_empty():
     assert tr.levels_of_source(full_tree(), -1) == []
-    assert marking_of_source(full_tree(), -1) == BlockMarking.empty()
+    assert marking_of_source(full_tree(), -1) == BlockMarking(-1, ())
 
 
 def test_from_source_budget():
@@ -196,7 +201,7 @@ GROWN_SOURCES = {
     **{
         f"automaton-{seed}": lambda seed=seed: spec_from_obj(
             cyclic_automaton(random.Random(seed))
-        ).source()
+        )
         for seed in (1401, 1402, 1403, 1404)
     },
 }
@@ -237,7 +242,7 @@ def test_grown_markings_equal_the_checked_construction(name):
 def test_grown_tail_of_an_explicit_code(seed):
     # an explicit part through length 6, grown from its top by the ambient source
     rng = random.Random(seed)
-    src = spec_from_obj(cyclic_automaton(rng)).source()
+    src = spec_from_obj(cyclic_automaton(rng))
     ambient = marking_of_source(src, GROWN_BLOCK)
     top = {t for t in sorted(ambient.marked_at(6)) if rng.random() < 0.5}
     explicit = prefix_closure(top, 6)
@@ -250,7 +255,7 @@ def test_grown_tail_of_an_explicit_code(seed):
 
 
 def test_grow_asks_only_about_children_of_marks():
-    src = spec_from_obj(cyclic_automaton(random.Random(1405))).source()
+    src = spec_from_obj(cyclic_automaton(random.Random(1405)))
     asked = []
     levels = tr.grow(lambda s: asked.append(s) or src.member(s), [frozenset({""})], 10)
     children = [c for level in levels[:-1] for s in level for c in (s + "0", s + "1")]
@@ -307,15 +312,15 @@ def test_extension_counts_stay_closed_form_deep():
 
 
 def test_leftmost_paths():
-    assert leftmost_extension_path(full_tree(), "").prefix(5) == "00000"
-    assert leftmost_extension_path(rooted_tree("1"), "").prefix(3) == "100"
+    assert leftmost_extension_path(full_tree(), "", 5) == "00000"
+    assert leftmost_extension_path(rooted_tree("1"), "", 3) == "100"
     with pytest.raises(NotExtendible):
-        leftmost_extension_path(empty_tree(), "")
+        leftmost_extension_path(empty_tree(), "", 0)
 
 
 def test_leftmost_prefixes_are_members():
     for src in [full_tree(), rooted_tree("10"), dyadic_tree(5, 3)]:
-        path = leftmost_extension_path(src, "").prefix(8)
+        path = leftmost_extension_path(src, "", 8)
         for k in range(9):
             assert src.member(path[:k])
 

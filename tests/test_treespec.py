@@ -112,7 +112,7 @@ def test_resumed_runs_equal_fresh_runs(monkeypatch, kind, memo_chars):
     for seed in range(6):
         rng = random.Random(seed)
         spec = draw(rng)
-        src = spec_from_obj(spec).source()
+        src = spec_from_obj(spec)
         fresh = FreshWalk(spec)
         for sigma in query_strings(rng, fresh):
             assert src.member(sigma) == fresh.member(sigma), sigma
@@ -124,7 +124,7 @@ def test_resumed_runs_equal_fresh_runs(monkeypatch, kind, memo_chars):
 @pytest.mark.parametrize("bad", ["01x", "012", "01 ", "01\n", "0x1", "x"])
 def test_non_binary_string_raises_after_its_parent(bad):
     # the parent of each bad string, or its binary prefix, is asked first
-    src = spec_from_obj(layered_automaton(random.Random(1))).source()
+    src = spec_from_obj(layered_automaton(random.Random(1)))
     head = bad[:-1] if set(bad[:-1]) <= {"0", "1"} else bad[:1]
     for oracle in (src.member, src.extendible, lambda s: src.extension_count(s, 8)):
         oracle(head)
@@ -134,7 +134,7 @@ def test_non_binary_string_raises_after_its_parent(bad):
 
 @pytest.mark.parametrize("bad", [None, 5, ("0", "1"), ["0"], b"01"])
 def test_non_string_raises(bad):
-    src = spec_from_obj(cyclic_automaton(random.Random(2))).source()
+    src = spec_from_obj(cyclic_automaton(random.Random(2)))
     src.member("")
     src.member("0")
     for oracle in (src.member, src.extendible):

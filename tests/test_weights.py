@@ -9,11 +9,9 @@ import cgmt.weights as cgmt_weights
 from cgmt.core import CgmtError
 from cgmt.weights import (
     AlgebraicWeight,
-    Ordering,
     ScaledRing,
     _float_sign,
     _refine_sign,
-    compare,
     cylinder_weight,
     sign_of,
 )
@@ -85,7 +83,6 @@ def test_sign_mixed():
     u = W.two_power(Fraction(-1, 2))
     assert (u - W.from_rational(Fraction(7, 10))).sign() == 1
     assert (u - W.from_rational(Fraction(71, 100))).sign() < 0
-    assert compare(u, u) is Ordering.EQUAL
 
 
 def test_comparison_operators():
