@@ -31,13 +31,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import BudgetExceeded, CgmtError, read_input
-from .weights import AlgebraicWeight, as_weight
-from .trees import (
-    BlockMarking,
-    CodeViolation,
-    NotExtendible,
-    TreeSource,
-)
+from .weights import MAX_ROOT_ORDER, AlgebraicWeight, as_weight, cap_violation
+from .trees import BlockMarking, CodeViolation, NotExtendible
 from .measure import (
     BRUTEFORCE_MAX_BLOCK,
     DepthTooLarge,
@@ -50,6 +45,7 @@ from .measure import (
     measure_sequence,
 )
 from .construct import (
+    MAX_STAGES,
     DensityViolated,
     NoStableIndex,
     PromiseViolated,
@@ -57,7 +53,6 @@ from .construct import (
     baire_intersect,
     besicovitch_extract,
     lebesgue_path,
-    pruned_approx_subset,
     thinify,
 )
 from .gadgets import (
@@ -70,15 +65,14 @@ from .gadgets import (
 )
 from .treespec import ParseError, parse_spec
 from .report import (
-    ReportDocument,
     certificate_from_obj,
     certificate_obj,
     interpolation_obj,
     measure_value_obj,
     render_csv,
     render_json,
+    report_document,
     thinning_obj,
-    weight_obj,
 )
 
 EXIT_OK = 0
@@ -167,7 +161,8 @@ def constant_in(test, span: str):
             value = as_weight(parse_constant(text))
         except ParseError:
             return text
-        if not test(value):
+        # past the ring's cap, main rejects it; test's sign would build the float filter for q
+        if value.q <= MAX_ROOT_ORDER and not test(value):
             raise argparse.ArgumentTypeError(f"must be {span}, got {text}")
         return text
 
@@ -248,8 +243,8 @@ def run_verify_suite(
                     "s": str(s),
                     "n": n,
                     "block": marking.block,
-                    "dp": weight_obj(fast),
-                    "enumeration": weight_obj(slow),
+                    "dp": fast.to_json_obj(),
+                    "enumeration": slow.to_json_obj(),
                 }
             )
     return {
@@ -264,12 +259,8 @@ def run_verify_suite(
 # -- command handlers -------------------------------------------------------------
 
 
-def _tree(args) -> TreeSource:
-    return parse_spec(args.tree)
-
-
 def _cmd_measure(args) -> tuple[dict, dict, int]:
-    src = _tree(args)
+    src = parse_spec(args.tree)
     blocks = args.blocks or list(range(args.n, args.depth + 1))
     values = measure_sequence(src, parse_dimension(args.s), args.n, blocks, budget=args.budget)
     results = {"sequence": [measure_value_obj(v) for v in values]}
@@ -300,10 +291,9 @@ def _cmd_cover_verify(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_extract(args, pruned: bool) -> tuple[dict, dict, int]:
-    src = _tree(args)
-    op = pruned_approx_subset if pruned else approx_subset
-    res = op(
-        src,
+    src = parse_spec(args.tree)
+    res = approx_subset(
+        src.pruned() if pruned else src,
         parse_dimension(args.s),
         args.n,
         parse_constant(args.c),
@@ -323,7 +313,7 @@ def _cmd_extract(args, pruned: bool) -> tuple[dict, dict, int]:
 
 
 def _cmd_thin(args) -> tuple[dict, dict, int]:
-    src = _tree(args)
+    src = parse_spec(args.tree)
     code, cert = thinify(
         src,
         parse_dimension(args.s),
@@ -352,7 +342,7 @@ def _cmd_thin(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_besicovitch(args) -> tuple[dict, dict, int]:
-    src = _tree(args)
+    src = parse_spec(args.tree)
     code, certs = besicovitch_extract(
         src,
         parse_dimension(args.s),
@@ -379,7 +369,7 @@ def _cmd_besicovitch(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_lebesgue(args) -> tuple[dict, dict, int]:
-    src = _tree(args)
+    src = parse_spec(args.tree)
     path = lebesgue_path(
         src,
         as_weight(parse_constant(args.c)).as_fraction(),
@@ -401,7 +391,7 @@ def _load_opens(path: str) -> list[list[str]]:
 
 
 def _cmd_baire(args) -> tuple[dict, dict, int]:
-    src = _tree(args)
+    src = parse_spec(args.tree)
     prefix_codes = _load_opens(args.opens)
 
     def as_open(prefixes: list[str]):
@@ -479,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub_parser("measure", "premeasure value sequence over blocks")
     _add_tree(p)
-    p.add_argument("--s", required=True, help="dimension, a positive rational")
+    p.add_argument("--s", required=True, help="dimension: rational in (0, 16], denominator <= 256")
     p.add_argument("--n", type=int_in(0), required=True, help="granularity")
     p.add_argument("--depth", type=int_in(0), default=6, help="last block when --blocks is absent")
     p.add_argument("--blocks", type=block_list, default=None,
@@ -521,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True)
     p.add_argument("--c", type=_NONNEGATIVE, required=True)
     p.add_argument("--n0", type=int_in(0), default=0)
-    p.add_argument("--stages", type=int_in(1), required=True)
+    p.add_argument("--stages", type=int_in(1, MAX_STAGES), required=True)
     p.add_argument("--window", type=int_in(0), default=2)
     _add_budget(p)
     p.set_defaults(handler=_cmd_besicovitch)
@@ -562,19 +552,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cap_violation(args) -> Optional[str]:
+    """weights.cap_violation of --s and the constants; None if one is malformed (exit 3 later)."""
+    names = [name for name in ("c", "eps", "theta") if getattr(args, name, None) is not None]
+    try:
+        s = parse_dimension(args.s) if "s" in args else None
+        return cap_violation(s, [as_weight(parse_constant(getattr(args, k))) for k in names])
+    except ParseError:
+        return None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "besicovitch" and args.stages <= args.n0:
         parser.error(f"--stages must exceed --n0, got {args.stages} <= {args.n0}")
+    problem = _cap_violation(args)
+    if problem is not None:
+        parser.error(problem)
     try:
         inputs, results, code = args.handler(args)
-        doc = ReportDocument(
-            command=args.command,
-            inputs=inputs,
-            results=results,
-            seed=args.seed,
-        )
+        doc = report_document(args.command, inputs, results, args.seed)
         sys.stdout.write(render_csv(doc) if args.format == "csv" else render_json(doc))
         return code
     except CgmtError as exc:

@@ -33,7 +33,6 @@ from .measure import MeasureBracket, PreconditionMeasure, ShapeTable, htilde
 from .trees import (
     BlockMarking,
     NotExtendible,
-    ShapeViolation,
     TreeSource,
     grow,
     leftmost_extension_path,
@@ -41,6 +40,9 @@ from .trees import (
 from .weights import AlgebraicWeight, as_weight, cylinder_weight
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
+# A stage-n certificate checks htilde at granularity n, which can pass its
+# recorded block and then costs 2^((1-s)n), about 15n bits at s = 16.
+MAX_STAGES = 1 << 14
 
 _HALF = Fraction(1, 2)
 
@@ -78,12 +80,12 @@ class PromiseViolated(CgmtError):
 class PiecewiseCode:
     """Subtree code kept explicit through a working depth, ambient-backed above.
 
-    The explicit part is a BlockMarking through the working depth
-    live_depth.  A longer string is marked iff its length-live_depth prefix
-    is marked and the ambient source accepts it, so deeper levels are never
-    given: trees.grow grows them from the top level on demand, and they are
-    kept after the explicit ones.  Instances are immutable by convention;
-    refinement steps build new ones.
+    The explicit part is the first live_depth + 1 levels of one level list.
+    A longer string is marked iff its length-live_depth prefix is marked and
+    the ambient source accepts it, so deeper levels are never given:
+    trees.grow grows them from the top level on demand, and they are kept
+    after the explicit ones in the same list.  Instances are immutable by
+    convention; refinement steps build new ones.
 
     Every code is built from levels the library grew from source (or from
     a code over it), so the constructor checks nothing and asks source
@@ -92,26 +94,12 @@ class PiecewiseCode:
     was grown.  Each caller says why in a comment.
     """
 
-    __slots__ = ("source", "explicit", "_levels")
+    __slots__ = ("source", "live_depth", "_levels")
 
-    def __init__(
-        self,
-        source: TreeSource,
-        live_depth: int,
-        levels: tuple[frozenset[str], ...],
-        restriction: bool = False,
-    ):
+    def __init__(self, source: TreeSource, live_depth: int, levels: tuple[frozenset[str], ...]):
         self.source = source
-        self.explicit = BlockMarking.derived(live_depth, levels, restriction)
+        self.live_depth = live_depth
         self._levels: list[frozenset[str]] = list(levels)
-
-    @property
-    def live_depth(self) -> int:
-        return self.explicit.block
-
-    @property
-    def restriction(self) -> bool:
-        return self.explicit.restriction
 
     @classmethod
     def root_of(cls, source: TreeSource) -> "PiecewiseCode":
@@ -122,7 +110,7 @@ class PiecewiseCode:
         return cls(source, 0, (frozenset({""}),))
 
     def top(self) -> frozenset[str]:
-        return self.explicit.levels[self.live_depth]
+        return self._levels[self.live_depth]
 
     def level(self, length: int, budget: Optional[int] = None) -> frozenset[str]:
         """Marked strings of one length; budget bounds the strings through it."""
@@ -133,21 +121,20 @@ class PiecewiseCode:
     def marking(self, block: int, budget: Optional[int] = None) -> BlockMarking:
         """The code through block; budget bounds the strings it holds."""
         levels = tuple(grow(self.source.member, self._levels, block, budget)[: block + 1])
-        # the checked explicit part plus a tail grown from its top level
-        return BlockMarking.derived(
-            block, levels, restriction=self.restriction or not all(levels)
-        )
+        # the explicit part plus a tail grown from its top level
+        return BlockMarking.derived(block, levels)
 
     def restricted(self, tau: str) -> "PiecewiseCode":
         """Marks compatible with tau, as a code over the restricted ambient."""
-        explicit = self.explicit.restrict(tau)
+        # the explicit part, a tree grown from source
+        explicit = BlockMarking.derived(self.live_depth, tuple(self._levels[: self.live_depth + 1]))
         member = self.source.member
         src = TreeSource(
             member=lambda s, _t=tau: compatible(s, _t) and member(s),
             name=f"{self.source.name}|{tau or 'root'}",
         )
         # this code's marks compatible with tau: members of src, parents kept
-        return PiecewiseCode(src, self.live_depth, explicit.levels, restriction=True)
+        return PiecewiseCode(src, self.live_depth, explicit.restrict(tau).levels)
 
     def __repr__(self) -> str:
         return (
@@ -208,8 +195,6 @@ def interpolate_subset(
         raise CgmtError("eps must be positive")
     if c_w.sign() < 0:
         raise CgmtError("the target lower bound must be nonnegative")
-    if nu < 0:
-        raise CgmtError(f"prefix block must be nonnegative, got {nu}")
     if nu < zc.live_depth:
         raise CgmtError("interpolation must resume at or beyond the explicit working depth")
     n_prime = nu
@@ -345,7 +330,7 @@ def _probe(
     levels = list(big.levels[: n_prime + 1])
     levels.extend(frozenset(t[:length] for t in top) for length in range(n_prime + 1, m + 1))
     # levels of big, grown from zc, filtered with every mark's parent kept
-    code = PiecewiseCode(zc.source, m, tuple(levels), restriction=zc.restriction)
+    code = PiecewiseCode(zc.source, m, tuple(levels))
     upper_block, upper = max(window_values, key=lambda kv: (kv[1], kv[0]))
     bracket = MeasureBracket(c_w, upper, deep, upper_block)
     return InterpolationResult(code, bracket, m, index, window_values)
@@ -354,23 +339,12 @@ def _probe(
 def approx_subset(
     src, s, n: int, c, eps, window: int = 2, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> InterpolationResult:
-    """Extract a subtree of src with block values pinned in [c, c+eps)."""
-    return interpolate_subset(_as_code(src), n, s, n, c, eps, window=window, budget=budget)
+    """Extract a subtree of src with block values pinned in [c, c+eps).
 
-
-def pruned_approx_subset(
-    src: TreeSource, s, n: int, c, eps, window: int = 2, budget: int = DEFAULT_SEARCH_BUDGET
-) -> InterpolationResult:
-    """approx_subset over the pruned restriction of src.
-
-    Every mark of the output lies on an infinite branch, so the result
-    additionally satisfies the marked-child condition everywhere.
+    Over src.pruned() every mark of the output lies on an infinite branch,
+    so the result also has a marked child below every mark under its block.
     """
-    extendible = src.require_extendible()
-    pruned = TreeSource(member=extendible, extendible=extendible, name=f"{src.name}:pruned")
-    return interpolate_subset(
-        PiecewiseCode.root_of(pruned), n, s, n, c, eps, window=window, budget=budget
-    )
+    return interpolate_subset(_as_code(src), n, s, n, c, eps, window=window, budget=budget)
 
 
 # -- thinning -----------------------------------------------------------------------
@@ -457,7 +431,7 @@ def thinify(
         )
         # the union of two trees grown from current.source (the refined one
         # over its restriction to tau) is a tree of its members
-        current = PiecewiseCode(current.source, new_depth, merged, restriction=current.restriction)
+        current = PiecewiseCode(current.source, new_depth, merged)
         reports.append(
             BranchReport(tau, False, refined.bracket.upper, refined.bracket.upper_block)
         )
@@ -501,24 +475,17 @@ class RefinementCertificate:
     upper_witness: tuple[int, AlgebraicWeight]
     theta: AlgebraicWeight
 
-    def marking(self, block: int) -> BlockMarking:
-        if not -1 <= block <= self.marks.block:
-            raise ShapeViolation(
-                block, f"certificate records levels only to block {self.marks.block}"
-            )
-        return self.marks.cut(block)
-
     def verify(self) -> bool:
         """Recompute both verdicts from the recorded levels."""
         for block, value in self.lower_checks:
             got = htilde(
-                self.marking(block), self.dimension, self.lower_granularity, want_witness=False
+                self.marks.cut(block), self.dimension, self.lower_granularity, want_witness=False
             ).value
             if got != value or got < self.lower_target:
                 return False
         block, value = self.upper_witness
         got = htilde(
-            self.marking(block), self.dimension, self.upper_granularity, want_witness=False
+            self.marks.cut(block), self.dimension, self.upper_granularity, want_witness=False
         ).value
         return got == value and got < self.upper_target
 
@@ -541,12 +508,13 @@ def besicovitch_extract(
     frozen for the rest of the run, so the final code reproduces every
     recorded upper verdict bit-exactly.
     """
-    extendible = src.require_extendible()
-    ambient = TreeSource(member=extendible, extendible=extendible, name=f"{src.name}:pruned")
+    ambient = src.pruned()
     if stages <= n0:
         raise CgmtError("need at least one stage beyond the base granularity")
     if n0 < 0:
         raise CgmtError(f"base granularity must be nonnegative, got {n0}")
+    if stages > MAX_STAGES:
+        raise CgmtError(f"stages must be at most {MAX_STAGES}, got {stages}")
     s_frac = Fraction(s)
     c_w = as_weight(c)
     margin = AlgebraicWeight.two_power(-stages)  # the final-stage gap to c
@@ -652,6 +620,16 @@ def _extensions(stem: str, extendible: Callable[[str], bool], include_stem: bool
         frontier = grown
 
 
+def _first_extension(stem: str, extendible, accepts, include_stem: bool, stage: int, cap: int):
+    """The first of stem's _extensions that accepts takes; at most cap are tested."""
+    for tested, candidate in enumerate(_extensions(stem, extendible, include_stem), 1):
+        if tested > cap:
+            break
+        if accepts(candidate):
+            return candidate
+    raise DensityViolated(stage, cap)
+
+
 def baire_intersect(
     src: TreeSource,
     opens: Sequence[Callable[[str], bool]],
@@ -671,20 +649,8 @@ def baire_intersect(
         raise NotExtendible(f"start {start!r} is not on an infinite branch")
     stem = start
     for stage, accepts in enumerate(opens):
-        if accepts(stem):
-            continue
-        tested = 0
-        found = None
-        for candidate in _extensions(stem, extendible, include_stem=False):
-            tested += 1
-            if tested > cap:
-                raise DensityViolated(stage, cap)
-            if accepts(candidate):
-                found = candidate
-                break
-        if found is None:
-            raise DensityViolated(stage, cap)
-        stem = found
+        if not accepts(stem):
+            stem = _first_extension(stem, extendible, accepts, False, stage, cap)
     if len(stem) > depth:
         raise CgmtError(f"constructed stem is longer than the requested depth {depth}")
     return leftmost_extension_path(src, stem, depth)
@@ -728,17 +694,10 @@ def dense_monotone_min(
             if found is None:
                 raise DensityViolated(stage, 0)
         else:
-            tested = 0
-            for candidate in _extensions(stem, extendible, include_stem=True):
-                tested += 1
-                if tested > cap:
-                    raise DensityViolated(stage, cap)
-                value = as_weight(f.eval(candidate))
-                if value < bound:
-                    found = (candidate, value)
-                    break
-            if found is None:
-                raise DensityViolated(stage, cap)
+            answer = _first_extension(
+                stem, extendible, lambda t: as_weight(f.eval(t)) < bound, True, stage, cap
+            )
+            found = (answer, as_weight(f.eval(answer)))
         stem, value = found
         if previous is not None and not value <= previous:
             raise CgmtError("callback value increased along the chain; not monotone")

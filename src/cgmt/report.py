@@ -1,11 +1,13 @@
 """Deterministic report documents for the command-line front end.
 
-Reports are plain dict trees with a fixed schema: every exact weight is
-emitted as its ring serialization (root order, coefficient list) plus a
-30-digit decimal annotation; decimals are never read back.  Rendering
-sorts keys and carries no timestamps, so identical inputs and seed give
+A report is the plain dict report_document builds, with a fixed schema:
+every exact weight is its AlgebraicWeight.to_json_obj, the ring
+serialization (root order, coefficient list, every digit) plus a 30-digit
+decimal annotation; decimals are never read back.  Rendering sorts keys
+and carries no timestamps, so identical inputs and seed give
 byte-identical output.  CSV rendering flattens measure sequences only;
-everything else stays JSON.
+everything else stays JSON.  certificate_from_obj reads a certificate
+back and checks each of its fields as outside input.
 """
 
 from __future__ import annotations
@@ -13,16 +15,16 @@ from __future__ import annotations
 import io
 import csv
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from . import __version__
 from .core import CgmtError, ParseError
-from .weights import AlgebraicWeight
+from .weights import AlgebraicWeight, cap_violation
 from .trees import BlockMarking
 from .measure import MeasureBracket, MeasureValue
 from .construct import (
+    MAX_STAGES,
     InterpolationResult,
     PiecewiseCode,
     RefinementCertificate,
@@ -32,31 +34,19 @@ from .construct import (
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ReportDocument:
-    command: str
-    inputs: dict
-    results: dict
-    seed: Optional[int] = None
-    versions: dict = field(
-        default_factory=lambda: {"cgmt": __version__, "schema": SCHEMA_VERSION}
-    )
-
-
-def weight_obj(w: AlgebraicWeight) -> dict:
-    return w.to_json_obj()
-
-
-def weight_from_obj(obj: dict) -> AlgebraicWeight:
-    return AlgebraicWeight.from_json_obj(obj)
-
-
-def fraction_str(x) -> str:
-    return str(Fraction(x))
+def report_document(command: str, inputs: dict, results: dict, seed: Optional[int] = None) -> dict:
+    """The report of one command run, as the dict render_json writes."""
+    return {
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "seed": seed,
+        "versions": {"cgmt": __version__, "schema": SCHEMA_VERSION},
+    }
 
 
 def measure_value_obj(mv: MeasureValue) -> dict:
-    out = {"block": mv.at_block, "value": weight_obj(mv.value)}
+    out = {"block": mv.at_block, "value": mv.value.to_json_obj()}
     if mv.witness is not None:
         out["witness"] = sorted(mv.witness.strings)
     return out
@@ -64,19 +54,17 @@ def measure_value_obj(mv: MeasureValue) -> dict:
 
 def bracket_obj(b: MeasureBracket) -> dict:
     return {
-        "lower": weight_obj(b.lower),
+        "lower": b.lower.to_json_obj(),
         "lower_block": b.lower_block,
-        "upper": weight_obj(b.upper),
+        "upper": b.upper.to_json_obj(),
         "upper_block": b.upper_block,
     }
 
 
 def code_obj(code: PiecewiseCode) -> dict:
-    return {
-        "live_depth": code.live_depth,
-        "restriction": code.restriction,
-        "levels": [sorted(code.level(L)) for L in range(code.live_depth + 1)],
-    }
+    levels = [sorted(code.level(L)) for L in range(code.live_depth + 1)]
+    # "restriction" (whether a level is empty) is kept for the report's bytes
+    return {"live_depth": code.live_depth, "restriction": not all(levels), "levels": levels}
 
 
 def interpolation_obj(res: InterpolationResult) -> dict:
@@ -85,28 +73,28 @@ def interpolation_obj(res: InterpolationResult) -> dict:
         "bracket": bracket_obj(res.bracket),
         "top_level": res.top_level,
         "restored": res.restored,
-        "values": [{"block": b, "value": weight_obj(v)} for b, v in res.values],
+        "values": [{"block": b, "value": v.to_json_obj()} for b, v in res.values],
     }
 
 
 def thinning_obj(cert: ThinningCertificate) -> dict:
     return {
         "granularity": cert.granularity,
-        "baseline": weight_obj(cert.baseline),
-        "theta": weight_obj(cert.theta),
+        "baseline": cert.baseline.to_json_obj(),
+        "theta": cert.theta.to_json_obj(),
         "branches": [
             {
                 "branch": r.branch,
                 "kept": r.kept,
-                "value": weight_obj(r.value),
+                "value": r.value.to_json_obj(),
                 "block": r.block,
             }
             for r in cert.branches
         ],
         "floor": {
             "granularity": cert.floor_granularity,
-            "target": weight_obj(cert.floor_target),
-            "value": weight_obj(cert.floor_value),
+            "target": cert.floor_target.to_json_obj(),
+            "value": cert.floor_value.to_json_obj(),
             "block": cert.floor_block,
         },
     }
@@ -115,22 +103,22 @@ def thinning_obj(cert: ThinningCertificate) -> dict:
 def certificate_obj(cert: RefinementCertificate) -> dict:
     return {
         "stage": cert.stage,
-        "dimension": fraction_str(cert.dimension),
+        "dimension": str(cert.dimension),
         "levels": [sorted(level) for level in cert.marks.levels],
         "lower": {
             "granularity": cert.lower_granularity,
-            "target": weight_obj(cert.lower_target),
-            "checks": [{"block": b, "value": weight_obj(v)} for b, v in cert.lower_checks],
+            "target": cert.lower_target.to_json_obj(),
+            "checks": [{"block": b, "value": v.to_json_obj()} for b, v in cert.lower_checks],
         },
         "upper": {
             "granularity": cert.upper_granularity,
-            "target": weight_obj(cert.upper_target),
+            "target": cert.upper_target.to_json_obj(),
             "witness": {
                 "block": cert.upper_witness[0],
-                "value": weight_obj(cert.upper_witness[1]),
+                "value": cert.upper_witness[1].to_json_obj(),
             },
         },
-        "theta": weight_obj(cert.theta),
+        "theta": cert.theta.to_json_obj(),
     }
 
 
@@ -148,9 +136,12 @@ def _field(obj, key: str, kind: type):
 def certificate_from_obj(obj: dict) -> RefinementCertificate:
     """Decode a certificate_obj document.
 
-    Missing fields, fields of the wrong JSON type and malformed weights raise
-    ParseError; levels that do not form a finite tree raise the BlockMarking
-    shape check's CodeViolation.
+    Missing fields, fields of the wrong JSON type, malformed weights, a
+    stage outside 1..MAX_STAGES, granularities other than the construction
+    records (upper equal to the stage, lower in 0..stage-1), and a
+    dimension or weights past the ring's caps (weights.cap_violation)
+    raise ParseError; levels that do not form a finite tree raise the
+    BlockMarking shape check's CodeViolation.
     """
     levels = _field(obj, "levels", list)
     if not all(isinstance(level, list) and all(isinstance(t, str) for t in level)
@@ -160,48 +151,51 @@ def certificate_from_obj(obj: dict) -> RefinementCertificate:
         dimension = Fraction(_field(obj, "dimension", str))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed certificate object: dimension {obj['dimension']!r}") from exc
-    if dimension < 0:
-        raise ParseError(f"malformed certificate object: negative dimension {obj['dimension']!r}")
     lower = _field(obj, "lower", dict)
     upper = _field(obj, "upper", dict)
     witness = _field(upper, "witness", dict)
-    return RefinementCertificate(
+    cert = RefinementCertificate(
         stage=_field(obj, "stage", int),
         dimension=dimension,
         marks=BlockMarking(len(levels) - 1, levels),
         lower_granularity=_field(lower, "granularity", int),
-        lower_target=weight_from_obj(_field(lower, "target", dict)),
+        lower_target=AlgebraicWeight.from_json_obj(_field(lower, "target", dict)),
         lower_checks=tuple(
-            (_field(row, "block", int), weight_from_obj(_field(row, "value", dict)))
+            (_field(row, "block", int), AlgebraicWeight.from_json_obj(_field(row, "value", dict)))
             for row in _field(lower, "checks", list)
         ),
         upper_granularity=_field(upper, "granularity", int),
-        upper_target=weight_from_obj(_field(upper, "target", dict)),
+        upper_target=AlgebraicWeight.from_json_obj(_field(upper, "target", dict)),
         upper_witness=(
             _field(witness, "block", int),
-            weight_from_obj(_field(witness, "value", dict)),
+            AlgebraicWeight.from_json_obj(_field(witness, "value", dict)),
         ),
-        theta=weight_from_obj(_field(obj, "theta", dict)),
+        theta=AlgebraicWeight.from_json_obj(_field(obj, "theta", dict)),
     )
+    # besicovitch_extract records stage n+1 with upper granularity n+1 and
+    # lower granularity n0 <= n; a granularity may pass the recorded block
+    # (htilde's case 2), so the stage cap is what keeps 2^((1-s)n) small
+    if not 1 <= cert.stage <= MAX_STAGES:
+        raise ParseError(f"malformed certificate object: stage {cert.stage} past 1..{MAX_STAGES}")
+    if cert.upper_granularity != cert.stage or not 0 <= cert.lower_granularity < cert.stage:
+        raise ParseError(
+            f"malformed certificate object: granularities {cert.lower_granularity} and "
+            f"{cert.upper_granularity} do not fit stage {cert.stage}"
+        )
+    weights = (cert.lower_target, cert.upper_target, cert.upper_witness[1], cert.theta)
+    problem = cap_violation(dimension, weights + tuple(v for _, v in cert.lower_checks))
+    if problem is not None:
+        raise ParseError(f"malformed certificate object: {problem}")
+    return cert
 
 
-def document_obj(doc: ReportDocument) -> dict:
-    return {
-        "command": doc.command,
-        "inputs": doc.inputs,
-        "results": doc.results,
-        "seed": doc.seed,
-        "versions": doc.versions,
-    }
+def render_json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def render_json(doc: ReportDocument) -> str:
-    return json.dumps(document_obj(doc), sort_keys=True, indent=2) + "\n"
-
-
-def render_csv(doc: ReportDocument) -> str:
+def render_csv(doc: dict) -> str:
     """Flatten a measure sequence to block,value,decimal rows."""
-    sequence = doc.results.get("sequence")
+    sequence = doc["results"].get("sequence")
     if sequence is None:
         raise CgmtError("csv output is defined for measure sequences only")
     buf = io.StringIO()

@@ -6,10 +6,13 @@ extendibility callback (does the node lie on an infinite path), a
 closed-form per-level count and a state naming each member's subtree.
 Every finite tree in memory is a BlockMarking: one frozenset of marked
 strings per length, whose constructor is the one place a finite tree's
-shape is checked.  grow is the one place levels are grown out of a
-membership oracle; what it grows is a tree by construction and is not
-checked again.  quotient_of_source grows one representative per (state,
-length) class instead; without states, every member is a class.
+shape is checked, for certificates and explicit specs alike; it names the
+least offending mark, so its errors do not depend on set order.  grow is
+the one place levels are grown out of a membership oracle; what it grows
+is a tree by construction and is not checked again.  quotient_of_source
+grows one representative per (state, length) class instead; without
+states, every member is a class.  TreeSource.pruned is the one pruned
+ambient: the nodes on an infinite path.
 
 A subset inside an ambient tree is a BlockMarking too: its conditions are
 a tree shape (the constructor), membership of every mark in the ambient
@@ -88,6 +91,11 @@ class TreeSource:
         if self.extendible is None:
             raise NotExtendible(f"{self.name}: no extendibility callback")
         return self.extendible
+
+    def pruned(self) -> "TreeSource":
+        """The nodes on an infinite path, with extendibility as both oracles."""
+        extendible = self.require_extendible()
+        return TreeSource(member=extendible, extendible=extendible, name=f"{self.name}:pruned")
 
 
 def full_tree() -> TreeSource:
@@ -274,15 +282,14 @@ class BlockMarking:
     the empty prefix, which carries no information at all.  The constructor
     is the one shape check of a finite tree: one level per length, every
     mark a binary string of its level's length, every mark's parent marked.
-    Any level may be empty, and every level past an empty one is then
-    empty too.  restriction records only that a marking may have empty
-    levels (a restriction to a node, or a tree that dies below its block);
-    no check reads it, and reports only echo it.
+    A failure names the least offending mark: the shortest failing level
+    first, then lexicographic order.  Any level may be empty (a restriction
+    to a node, or a tree that dies below its block), and every level past
+    an empty one is then empty too.
     """
 
     block: int
     levels: tuple[frozenset[str], ...]
-    restriction: bool = False
 
     def __post_init__(self) -> None:
         try:
@@ -294,19 +301,17 @@ class BlockMarking:
             raise ShapeViolation(self.block, f"{len(levels)} levels for block {self.block}")
         for length, level in enumerate(levels):
             above = levels[length - 1] if length else frozenset()
-            for t in level:
-                # a marked parent is already checked binary, so the last bit is all that is new
-                if not isinstance(t, str) or len(t) != length or (length and t[-1] not in "01"):
+            # a marked parent is already checked binary, so the last bit is all that is new
+            bad = [t for t in level if not isinstance(t, str) or len(t) != length
+                   or (length and (t[-1] not in "01" or t[:-1] not in above))]
+            if bad:
+                t = min(bad, key=str)  # the least offender, whatever the set order
+                if not isinstance(t, str) or len(t) != length or t.strip("01"):
                     raise ShapeViolation(t, f"mark is not a binary string of length {length}")
-                if length and t[:-1] not in above:
-                    if t.strip("01"):
-                        raise ShapeViolation(t, f"mark is not a binary string of length {length}")
-                    raise Condition1Violation(t)
+                raise Condition1Violation(t)
 
     @classmethod
-    def derived(
-        cls, block: int, levels: tuple[frozenset[str], ...], restriction: bool = False
-    ) -> "BlockMarking":
+    def derived(cls, block: int, levels: tuple[frozenset[str], ...]) -> "BlockMarking":
         """A marking the library grew or derived, without the shape check.
 
         Only for levels whose shape is already known: grown by grow, built
@@ -318,7 +323,6 @@ class BlockMarking:
         marking = object.__new__(cls)
         object.__setattr__(marking, "block", block)
         object.__setattr__(marking, "levels", levels)
-        object.__setattr__(marking, "restriction", restriction)
         return marking
 
     def marked_at(self, length: int) -> frozenset[str]:
@@ -329,8 +333,8 @@ class BlockMarking:
     def cut(self, block: int) -> "BlockMarking":
         """The same marks through a block no deeper than this one."""
         if not -1 <= block <= self.block:
-            raise CgmtError(f"block {block} outside the marking's blocks -1..{self.block}")
-        return BlockMarking.derived(block, self.levels[: block + 1], self.restriction)
+            raise ShapeViolation(block, f"the marking records levels only to block {self.block}")
+        return BlockMarking.derived(block, self.levels[: block + 1])
 
     def restrict(self, tau: str) -> "BlockMarking":
         check_bits(tau)
@@ -338,7 +342,6 @@ class BlockMarking:
         return BlockMarking.derived(
             self.block,
             tuple(frozenset(s for s in level if compatible(s, tau)) for level in self.levels),
-            restriction=True,
         )
 
     def to_source(self) -> TreeSource:

@@ -2,19 +2,22 @@
 
 The JSON document is the declarative form: spec_from_obj checks its
 fields and builds the TreeSource it describes, with no stage between.
+parse_spec reads a --tree value: a builtin name, or the path of a file
+that holds one JSON document.
 
 Three kinds are accepted:
 
   builtin    {"kind": "builtin", "name": "full" | "branch-left" |
               "branch-right" | "dyadic(p/q)"} with q a power of two
   explicit   {"kind": "explicit", "depth": D, "members": [...]}, the list
-              prefix-closed as written; extendibility means reaching the
-              truncation depth
+              prefix-closed as written (checked by the BlockMarking
+              constructor, which names the least offending member);
+              extendibility means reaching the truncation depth
   automatic  {"kind": "automatic", "transitions": [[t0, t1], ...],
               "accepting": [...], "start": 0}, acceptance prefix-closed
-              (no non-accepting state may reach an accepting one);
-              extendibility means the run state reaches a cycle that
-              stays accepting
+              (no accepted string has a rejected prefix; the least
+              violation in length-lex order is reported); extendibility
+              means the run state reaches a cycle that stays accepting
 
 Builtins and automatic specs carry exact closed-form level counts, so
 deep mass computations work without enumeration.
@@ -23,11 +26,20 @@ deep mass computations work without enumeration.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .core import CgmtError, ParseError, check_bits, read_input
-from .trees import BlockMarking, TreeSource, dyadic_tree, full_tree, rooted_tree
+from .core import ParseError, check_bits, read_input
+from .trees import (
+    BlockMarking,
+    Condition1Violation,
+    ShapeViolation,
+    TreeSource,
+    dyadic_tree,
+    full_tree,
+    rooted_tree,
+)
 
 
 class NotPrefixClosed(ParseError):
@@ -72,25 +84,22 @@ def _builtin_source(name: str) -> TreeSource:
     if name.startswith("dyadic(") and name.endswith(")"):
         p, k = _parse_dyadic(name[len("dyadic(") : -1])
         return dyadic_tree(p, k)
-    raise UnknownBuiltin(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+    # the name is not echoed: a spec document may hold a long one
+    raise UnknownBuiltin(f"unknown builtin name; known: {', '.join(BUILTIN_NAMES)}")
 
 
 def _explicit_source(members: Sequence[str], depth: int) -> TreeSource:
     levels: list[set[str]] = [set() for _ in range(depth + 1)]
     for s in members:
-        try:
-            check_bits(s)
-        except CgmtError as exc:
-            raise ParseError(str(exc)) from exc
         if len(s) > depth:
             raise ParseError(f"member {s!r} longer than depth {depth}")
         levels[len(s)].add(s)
-    for length in range(1, depth + 1):
-        for s in sorted(levels[length]):
-            if s[:-1] not in levels[length - 1]:
-                raise NotPrefixClosed(s)
-    # the loops above are the one check of this input: binary, in depth, prefix-closed
-    return BlockMarking.derived(depth, tuple(map(frozenset, levels))).to_source()
+    try:
+        return BlockMarking(depth, levels).to_source()
+    except Condition1Violation as exc:
+        raise NotPrefixClosed(exc.witness) from None
+    except ShapeViolation as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _automatic_source(
@@ -189,46 +198,28 @@ def _automatic_source(
 
 
 def _check_prefix_closed(table, accepting, start) -> None:
-    """Exact check: no reachable non-accepting state may reach an accepting one.
+    """Exact check: no accepted string may have a rejected prefix.
 
-    Witnesses are built from shortest paths, so the reported string is a
-    minimal violation.
+    The least violation ends with a step from a rejecting state to an
+    accepting one, taken from the least string that reaches the rejecting
+    state.  One breadth-first search, children in bit order, reaches each
+    state first by its least string in length-lex order and tries those
+    steps in that order, so the first such step it meets ends the least
+    violation.
     """
-    via: dict[int, str] = {start: ""}
-    frontier = [start]
+    seen = {start}
+    frontier = [(start, "")]
     while frontier:
         nxt = []
-        for q in frontier:
-            for bit in (0, 1):
-                r = table[q][bit]
-                if r not in via:
-                    via[r] = via[q] + "01"[bit]
-                    nxt.append(r)
+        for q, sigma in frontier:
+            for bit in "01":
+                r = table[q][bit == "1"]
+                if q not in accepting and r in accepting:
+                    raise NotPrefixClosed(sigma + bit)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append((r, sigma + bit))
         frontier = nxt
-    for q, stem in sorted(via.items(), key=lambda kv: (len(kv[1]), kv[1])):
-        if q in accepting:
-            continue
-        tail = _shortest_path_to_accepting(table, accepting, q)
-        if tail is not None:
-            raise NotPrefixClosed(stem + tail)
-
-
-def _shortest_path_to_accepting(table, accepting, src: int) -> Optional[str]:
-    via: dict[int, str] = {src: ""}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for bit in (0, 1):
-                r = table[q][bit]
-                if r in via:
-                    continue
-                via[r] = via[q] + "01"[bit]
-                if r in accepting:
-                    return via[r]
-                nxt.append(r)
-        frontier = nxt
-    return None
 
 
 def _live_states(table, accepting) -> frozenset[int]:
@@ -277,27 +268,11 @@ def spec_from_obj(obj: dict) -> TreeSource:
     raise ParseError(f"unknown spec kind {shown}; expected builtin, explicit, or automatic")
 
 
-def parse_spec_text(text: str) -> TreeSource:
-    """Parse a spec document given as a JSON string (or a bare builtin name)."""
-    stripped = text.strip()
-    if not stripped.startswith("{"):
-        return _builtin_source(stripped)
-    try:
-        obj = json.loads(stripped)
-    except ValueError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return spec_from_obj(obj)
-
-
 def parse_spec(path: str) -> TreeSource:
-    """Load and materialize a tree-spec document from a file path.
+    """The tree a --tree value names: a builtin name, or the path of a JSON spec document.
 
-    As a convenience the path may instead be a bare builtin name (full,
-    branch-left, branch-right, dyadic(p/q)); real files always win when
-    they exist.
+    A file that exists wins over a builtin of the same name.
     """
-    import os
-
     if not os.path.exists(path):
         # a name that is no builtin is a missing file; a malformed
         # dyadic(...) raises its own ParseError
@@ -305,10 +280,4 @@ def parse_spec(path: str) -> TreeSource:
             return _builtin_source(path)
         except UnknownBuiltin:
             raise ParseError(f"no such spec file: {path}") from None
-    try:
-        return read_input(path, "spec file", parse_spec_text)
-    except UnknownBuiltin:
-        # the name is not echoed: it may be a whole file
-        raise ParseError(
-            f"spec file {path}: unknown builtin; known: {', '.join(BUILTIN_NAMES)}"
-        ) from None
+    return read_input(path, "spec file", lambda text: spec_from_obj(json.loads(text)))

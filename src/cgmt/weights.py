@@ -28,17 +28,49 @@ exchanged in.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .core import CgmtError, ParseError
 
 Rationalish = Union[int, Fraction]
 
 _MAX_REFINE_BITS = 1 << 20
+
+# A run's ring is capped where outside input enters (cap_violation): the
+# float filter's power table costs steeply more with the root order q (0.16 s
+# at q = 256, 13 s at 2,000), and 2^(-s*m) holds about s*m bits.
+MAX_ROOT_ORDER, MAX_DIMENSION = 256, 16
+
+
+def cap_violation(s: Optional[Fraction], weights: Iterable["AlgebraicWeight"]) -> Optional[str]:
+    """Why a run at dimension s (None: no dimension) with these weights breaks a cap, or None.
+
+    Its values live at the lcm of the root orders of s and of every weight.
+    """
+    if s is not None and not 0 < s <= MAX_DIMENSION:
+        return f"dimension {s} is outside the cap (0, {MAX_DIMENSION}]"
+    order = math.lcm(1 if s is None else s.denominator, *(w.q for w in weights))
+    if order > MAX_ROOT_ORDER:
+        return (f"root order {order} (the lcm of s's denominator and the weights' q) "
+                f"is past the cap {MAX_ROOT_ORDER}")
+    return None
+
+
+@contextmanager
+def _all_digits():
+    """Lift the interpreter's cap on int-to-text conversion, for an exact value's own digits."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def _nth_root_floor(x: int, n: int) -> int:
@@ -156,17 +188,19 @@ def _float_sign(coeffs: tuple, q: int) -> Optional[int]:
     return None
 
 
+def _enclosures(coeffs: tuple, q: int, bits: int, top: int):
+    """Intervals around sum_j coeffs[j] * u^j, doubling the precision from bits to top."""
+    while bits <= top:
+        yield _interval_value(coeffs, q, bits)
+        bits *= 2
+    raise CgmtError("interval refinement did not converge")
+
+
 def _refine_sign(coeffs: tuple, q: int) -> int:
     """The sign of a nonzero sum_j coeffs[j] * u^j by interval refinement."""
-    bits = 64
-    while bits <= _MAX_REFINE_BITS:
-        lo, hi = _interval_value(coeffs, q, bits)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        bits *= 2
-    raise CgmtError("sign refinement did not converge")
+    for lo, hi in _enclosures(coeffs, q, 64, _MAX_REFINE_BITS):
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
 
 
 def sign_of(coeffs: tuple, q: int) -> int:
@@ -337,17 +371,10 @@ class AlgebraicWeight:
         if mag.q == 1:
             n = mag.coeffs[0].numerator * scale // mag.coeffs[0].denominator
         else:
-            bits = 128
-            while True:
-                lo, hi = _interval_value(mag.coeffs, mag.q, bits)
-                nlo = lo.numerator * scale // lo.denominator
-                nhi = hi.numerator * scale // hi.denominator
-                if nlo == nhi:
-                    n = nlo
+            for lo, hi in _enclosures(mag.coeffs, mag.q, 128, 2 * _MAX_REFINE_BITS):
+                n = lo.numerator * scale // lo.denominator
+                if n == hi.numerator * scale // hi.denominator:
                     break
-                if bits > _MAX_REFINE_BITS:
-                    raise CgmtError("decimal refinement did not converge")
-                bits *= 2
         whole, frac = divmod(n, scale)
         body = f"{whole}.{frac:0{digits}d}"
         return body if sgn > 0 else "-" + body
@@ -360,11 +387,14 @@ class AlgebraicWeight:
     # -- serialization --------------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        return {
-            "q": self.q,
-            "coeffs": [str(r) for r in self.coeffs],
-            "decimal": self.decimal(30),
-        }
+        try:
+            coeffs, decimal = [str(r) for r in self.coeffs], self.decimal(30)
+        except ValueError:
+            # more digits than the interpreter turns into text by default; its cap
+            # stays for reading outside documents
+            with _all_digits():
+                coeffs, decimal = [str(r) for r in self.coeffs], self.decimal(30)
+        return {"q": self.q, "coeffs": coeffs, "decimal": decimal}
 
     @staticmethod
     def from_json_obj(obj: dict) -> "AlgebraicWeight":

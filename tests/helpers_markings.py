@@ -35,7 +35,7 @@ def assert_code_conditions(marking: BlockMarking, ambient: TreeSource, pruned: b
 def marking_of_source(src: TreeSource, block: int, budget=None) -> BlockMarking:
     """The tree of src through block: levels_of_source, checked by the constructor."""
     levels = levels_of_source(src, block, budget)
-    return BlockMarking(block, levels, restriction=not all(levels))
+    return BlockMarking(block, levels)
 
 
 def tree_of(strings, depth: int) -> BlockMarking:
@@ -113,10 +113,6 @@ def random_marking(
             s = format(rng.randrange(1 << length), f"0{length}b")
             for j in range(1, length + 1):
                 levels[j].add(s[:j])
-        marking = BlockMarking(
-            m,
-            tuple(frozenset(level) for level in levels),
-            restriction=not all(levels),
-        )
+        marking = BlockMarking(m, tuple(frozenset(level) for level in levels))
         if count_covers(marking, n) <= budget:
             return marking

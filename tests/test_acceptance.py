@@ -25,7 +25,6 @@ from cgmt.construct import (
     besicovitch_extract,
     interpolate_subset,
     lebesgue_path,
-    pruned_approx_subset,
 )
 from cgmt.gadgets import (
     InjectionTable,
@@ -234,12 +233,12 @@ def test_criterion_5_besicovitch_desk_run():
         # recompute both verdicts from the recorded levels, from scratch
         for block, value in cert.lower_checks:
             got = htilde(
-                cert.marking(block), cert.dimension, cert.lower_granularity, want_witness=False
+                cert.marks.cut(block), cert.dimension, cert.lower_granularity, want_witness=False
             ).value
             assert (got - value).is_zero()
         block, value = cert.upper_witness
         got = htilde(
-            cert.marking(block), cert.dimension, cert.upper_granularity, want_witness=False
+            cert.marks.cut(block), cert.dimension, cert.upper_granularity, want_witness=False
         ).value
         assert (got - value).is_zero()
     elapsed = time.monotonic() - start
@@ -298,7 +297,7 @@ def test_criterion_8_oracle_discipline_instrumented():
     assert calls["extendible"] == 0
 
     jump_ops = {
-        "pruned": lambda s: pruned_approx_subset(s, F(1, 2), 1, 1, F(1, 8)),
+        "pruned": lambda s: approx_subset(s.pruned(), F(1, 2), 1, 1, F(1, 8)),
         "baire": lambda s: baire_intersect(s, [lambda x: "1" in x], "", 6),
         "staged": lambda s: besicovitch_extract(s, 1, 1, 0, 2),
     }

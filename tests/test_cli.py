@@ -36,24 +36,16 @@ from cgmt.cli import (
     parse_constant,
     run_verify_suite,
 )
-from cgmt.construct import besicovitch_extract
+from cgmt.construct import MAX_STAGES, besicovitch_extract
 from cgmt.core import CgmtError
 from cgmt.report import (
-    ReportDocument,
     certificate_from_obj,
     certificate_obj,
     render_csv,
     render_json,
-    weight_from_obj,
-    weight_obj,
+    report_document,
 )
-from cgmt.treespec import (
-    NotPrefixClosed,
-    ParseError,
-    parse_spec,
-    parse_spec_text,
-    spec_from_obj,
-)
+from cgmt.treespec import NotPrefixClosed, ParseError, parse_spec, spec_from_obj
 from cgmt.trees import BlockMarking, full_tree
 from cgmt.weights import AlgebraicWeight
 
@@ -76,34 +68,34 @@ def run_json(capsys, *argv):
 
 class TestTreeSpecBuiltins:
     def test_full(self):
-        src = parse_spec_text("full")
+        src = parse_spec("full")
         assert src.member("") and src.member("0110")
         assert src.extendible("0110")
 
     def test_branches(self):
-        left = parse_spec_text("branch-left")
-        right = parse_spec_text("branch-right")
+        left = parse_spec("branch-left")
+        right = parse_spec("branch-right")
         assert left.member("01") and not left.member("10")
         assert right.member("10") and not right.member("01")
 
     def test_dyadic(self):
-        src = parse_spec_text("dyadic(3/4)")
+        src = parse_spec("dyadic(3/4)")
         assert src.member("10") and not src.member("11")
         assert src.extension_count("", 4) == 12
 
     def test_dyadic_rejects_non_dyadic(self):
         with pytest.raises(ParseError, match="power-of-two"):
-            parse_spec_text("dyadic(1/3)")
+            parse_spec("dyadic(1/3)")
         with pytest.raises(ParseError, match="in \\(0, 1\\]"):
-            parse_spec_text("dyadic(5/4)")
+            parse_spec("dyadic(5/4)")
 
     def test_unknown_builtin(self):
         with pytest.raises(ParseError, match="unknown builtin"):
-            parse_spec_text("cantor")
+            spec_from_obj({"kind": "builtin", "name": "cantor"})
 
     def test_dyadic_one_is_the_full_tree(self):
         # dyadic(1) has k = 0: no string has a length-k prefix to read
-        src = parse_spec_text("dyadic(1)")
+        src = parse_spec("dyadic(1)")
         assert src.member("") and src.member("0110")
         assert src.extension_count("", 4) == 16
 
@@ -210,6 +202,14 @@ class TestTreeSpecAutomatic:
             spec_from_obj(doc)
         assert info.value.witness == "00"
 
+    def test_prefix_closure_witness_is_the_least_violation(self):
+        # "1" is rejected and "10" accepted; "000" is a violation too, but longer
+        doc = {"kind": "automatic", "transitions": [[1, 2], [3, 3], [0, 0], [4, 4], [4, 4]],
+               "accepting": [0, 4], "start": 0}
+        with pytest.raises(NotPrefixClosed) as info:
+            spec_from_obj(doc)
+        assert info.value.witness == "10"
+
     def test_dead_branch_not_extendible(self):
         doc = {
             "kind": "automatic",
@@ -239,6 +239,14 @@ class TestTreeSpecFiles:
     def test_bare_builtin_name(self):
         assert parse_spec("full").member("1101")
 
+    def test_bare_builtin_name_file_is_not_a_spec(self, capsys, monkeypatch, tmp_path):
+        # a spec file holds a JSON document; builtin names are --tree values only
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tree.txt").write_text("full\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "measure", "--tree", "tree.txt", "--s", "1", "--n", "0")
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error[3] ParseError: bad spec file: ")
+
     def test_missing_file(self):
         with pytest.raises(ParseError, match="no such spec file"):
             parse_spec("definitely-not-a-file.json")
@@ -256,7 +264,7 @@ class TestTreeSpecFiles:
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ParseError, match="invalid JSON"):
+        with pytest.raises(ParseError, match="bad spec file"):
             parse_spec(str(path))
 
     def test_unknown_kind(self):
@@ -271,15 +279,15 @@ def self_doc():
 class TestReportRendering:
     def test_weight_roundtrip(self):
         w = W(Fraction(3, 8))
-        assert (weight_from_obj(weight_obj(w)) - w).is_zero()
+        assert (AlgebraicWeight.from_json_obj(w.to_json_obj()) - w).is_zero()
 
     def test_json_is_deterministic(self):
-        doc = ReportDocument(command="measure", inputs={"b": 1, "a": 2}, results={"x": [1, 2]})
+        doc = report_document("measure", {"b": 1, "a": 2}, {"x": [1, 2]})
         assert render_json(doc) == render_json(doc)
         assert render_json(doc).endswith("\n")
 
     def test_csv_requires_sequence(self):
-        doc = ReportDocument(command="gadget", inputs={}, results={"ok": True})
+        doc = report_document("gadget", {}, {"ok": True})
         with pytest.raises(CgmtError, match="measure sequences"):
             render_csv(doc)
 
@@ -294,7 +302,7 @@ class TestReportRendering:
         _, certs = besicovitch_extract(full_tree(), Fraction(1, 2), 1, 0, 2)
         obj = certificate_obj(certs[0])
         tampered = json.loads(json.dumps(obj))
-        tampered["upper"]["witness"]["value"] = weight_obj(W(Fraction(1, 64)))
+        tampered["upper"]["witness"]["value"] = W(Fraction(1, 64)).to_json_obj()
         assert not certificate_from_obj(tampered).verify()
 
 
@@ -305,7 +313,7 @@ class TestParseConstant:
 
     def test_weight_object(self):
         w = W(Fraction(5, 8))
-        back = parse_constant(json.dumps(weight_obj(w)))
+        back = parse_constant(json.dumps(w.to_json_obj()))
         assert (back - w).is_zero()
 
     def test_rejects_garbage(self):
@@ -326,7 +334,7 @@ class TestCliCommands:
         seq = doc["results"]["sequence"]
         assert [row["block"] for row in seq] == [1, 2, 3, 4]
         for row in seq:
-            value = weight_from_obj(row["value"])
+            value = AlgebraicWeight.from_json_obj(row["value"])
             assert (value - AlgebraicWeight.two_power(Fraction(1, 2))).is_zero()
             assert row["value"]["decimal"].startswith("1.41421356")
 
@@ -375,7 +383,7 @@ class TestCliCommands:
         doc = run_json(capsys, "besicovitch", "--tree", "full", "--s", "1/2",
                        "--c", "1", "--stages", "2")
         cert = doc["results"]["certificates"][0]
-        cert["upper"]["witness"]["value"] = weight_obj(W(Fraction(1, 128)))
+        cert["upper"]["witness"]["value"] = W(Fraction(1, 128)).to_json_obj()
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([cert]), encoding="utf-8")
         code, out, _ = run_cli(capsys, "cover-verify", "--certificate", str(path))
@@ -446,19 +454,54 @@ class TestCliCommands:
             ("theta", {"q": 1}),
             ("theta", {"q": "a", "coeffs": ["1"]}),
             ("dimension", "-1/2"),
+            # past the ring's caps: s above 16, root orders above 256
+            ("dimension", "17"),
+            ("dimension", "1/257"),
+            ("theta", {"q": 3000, "coeffs": ["1", "-1/2"] + ["0"] * 2998}),
+            # a coefficient of more digits than outside input may hold
+            ("theta", {"q": 1, "coeffs": ["1/" + "3" * 5000]}),
+            # granularities are the construction's: upper the stage, lower
+            # below it; 10^12 would ask for 2^(10^12 / 2)
+            ("lower.granularity", -1),
+            ("lower.granularity", 10**12),
+            ("upper.granularity", 10**12),
+            ("upper.granularity", 2),
+            ("stage", 10**12),
         ],
     )
     def test_cover_verify_rejects_malformed_fields(self, capsys, tmp_path, field, value):
         doc = run_json(capsys, "besicovitch", "--tree", "full", "--s", "1/2",
                        "--c", "1", "--stages", "3")
-        doc["results"]["certificates"][0][field] = value
+        cert = doc["results"]["certificates"][0]
+        *parents, key = field.split(".")
+        for parent in parents:
+            cert = cert[parent]
+        cert[key] = value
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, "cover-verify", "--certificate", str(path))
+        assert time.perf_counter() - start < 1.0
         assert code == EXIT_PARSE
         assert out == ""
         assert err.startswith("error[3] ParseError: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # every stage's granularity passes the recorded block 3
+            ("--s", "16", "--c", "0", "--stages", "4"),
+            ("--s", "1/2", "--c", "1", "--stages", "3", "--window", "0"),
+        ],
+    )
+    def test_cover_verify_accepts_emitted_certificates(self, capsys, tmp_path, args):
+        doc = run_json(capsys, "besicovitch", "--tree", "full", *args)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "cover-verify", "--certificate", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["results"]["all_ok"] is True
 
     def test_cover_verify_rejects_non_object_results(self, capsys, tmp_path):
         path = tmp_path / "results.json"
@@ -472,7 +515,7 @@ class TestCliCommands:
                        "--c", "1", "--eps", "1/4")
         interp = doc["results"]["interpolation"]
         assert interp["code"]["levels"][0] == [""]
-        lower = weight_from_obj(interp["bracket"]["lower"])
+        lower = AlgebraicWeight.from_json_obj(interp["bracket"]["lower"])
         assert (lower - W(1)).sign() >= 0
 
     def test_gadget_report(self, capsys):
@@ -510,7 +553,7 @@ class TestCliCommands:
         path.write_text(json.dumps(self_doc()), encoding="utf-8")
         doc = run_json(capsys, "measure", "--tree", str(path), "--s", "1", "--n", "1",
                        "--depth", "2")
-        values = [weight_from_obj(row["value"]) for row in doc["results"]["sequence"]]
+        values = [AlgebraicWeight.from_json_obj(row["value"]) for row in doc["results"]["sequence"]]
         assert all((v - W(Fraction(1, 2))).is_zero() for v in values)
 
 
@@ -606,6 +649,8 @@ class TestCliExitCodes:
         (EXIT_USAGE, ("extract-pruned", "--tree", "full", "--s", "1", "--n", "0", "--c=-1",
                       "--eps", "1/4")),
         (EXIT_USAGE, ("besicovitch", "--tree", "full", "--s", "1/2", "--c=-1", "--stages", "3")),
+        (EXIT_USAGE, ("besicovitch", "--tree", "full", "--s", "1/2", "--c", "1",
+                      "--stages", str(MAX_STAGES + 1))),
     ])
     def test_constant_range(self, capsys, code, argv):
         try:
@@ -615,6 +660,39 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert got == code and captured.out == ""
         assert captured.err.startswith(f"error[{code}] ") and captured.err.count("\n") == 1
+
+    # past the caps a run would build the float filter's table for a large root
+    # order (2.6 s at q = 1,024, more than a minute at 3,000) or hold values of
+    # hundreds of thousands of digits
+    @pytest.mark.parametrize("argv", [
+        ("measure", "--tree", "full", "--s", "1/1024", "--n", "1", "--depth", "3"),
+        ("measure", "--tree", "full", "--s", "1/2000", "--n", "1", "--depth", "3"),
+        ("measure", "--tree", "full", "--s", "1/3000", "--n", "1", "--depth", "3"),
+        ("measure", "--tree", "full", "--s", "1/999999", "--n", "1", "--depth", "3"),
+        ("measure", "--tree", "full", "--s", "999999/7", "--n", "1", "--depth", "5"),
+        ("measure", "--tree", "full", "--s", "99999999999/7", "--n", "1", "--depth", "5"),
+        ("extract", "--tree", "full", "--s", "1/2", "--n", "1", "--eps", "1/4", "--c",
+         json.dumps({"q": 3000, "coeffs": ["1", "-1/2"] + ["0"] * 2998})),
+        # each root order within the cap, their lcm 65,280 past it
+        ("extract", "--tree", "full", "--s", "1/256", "--n", "1", "--eps", "1/4", "--c",
+         json.dumps({"q": 255, "coeffs": ["1", "-1/2"] + ["0"] * 253})),
+        ("thin", "--tree", "full", "--s", "1/2", "--n", "1", "--theta", "1/64", "--c",
+         json.dumps({"q": 3000, "coeffs": ["1", "-1/2"] + ["0"] * 2998})),
+    ])
+    def test_values_past_the_caps_exit_fast(self, capsys, argv):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert info.value.code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("error[2] ") and captured.err.count("\n") == 1
+        assert "the cap" in captured.err
+
+    @pytest.mark.parametrize("s", ["16", "1/256"])
+    def test_values_at_the_caps_run(self, capsys, s):
+        doc = run_json(capsys, "measure", "--tree", "full", "--s", s, "--n", "1", "--depth", "3")
+        assert len(doc["results"]["sequence"]) == 3
 
     def test_usage_error_is_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -719,6 +797,29 @@ class TestDeepMeasure:
         assert err.startswith("error[8] ") and err.count("\n") == 1
 
 
+class TestLongExactValues:
+    """Exact values are written whole, however many digits they have."""
+
+    def test_value_past_the_interpreter_digit_limit(self, capsys, monkeypatch, tmp_path):
+        # one path: the value at block b is 2^-b, 4,516 digits at b = 15,000
+        monkeypatch.chdir(tmp_path)
+        spec = {"kind": "automatic", "transitions": [[0, 1], [1, 1]], "accepting": [0], "start": 0}
+        (tmp_path / "path.json").write_text(json.dumps(spec), encoding="utf-8")
+        doc = run_json(capsys, "measure", "--tree", "path.json", "--s", "1", "--n", "1",
+                       "--blocks", "15000")
+        (row,) = doc["results"]["sequence"]
+        assert row["value"]["decimal"] == "0." + "0" * 30
+        # reading outside input keeps the interpreter's limit, so lift it here
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            value = AlgebraicWeight.from_json_obj(row["value"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert value == AlgebraicWeight.two_power(-15000)
+        assert sys.get_int_max_str_digits() == limit
+
+
 def _nested(depth: int) -> str:
     return "[" * depth + "]" * depth
 
@@ -753,15 +854,10 @@ class TestHostileInputFiles:
         assert code == EXIT_PARSE and out == ""
         assert err == "error[3] ParseError: bad weight object: nested too deeply\n"
 
-    def test_unknown_builtin_file_names_the_path(self, tmp_path):
-        path = tmp_path / "tree.txt"
-        path.write_text("cantor " * 1000, encoding="utf-8")
-        with pytest.raises(ParseError, match="tree.txt: unknown builtin") as info:
-            parse_spec(str(path))
-        assert "cantor" not in str(info.value)
-        # the same for a JSON spec whose builtin name is long
+    def test_unknown_builtin_in_a_spec_file_is_not_echoed(self, tmp_path):
+        path = tmp_path / "tree.json"
         path.write_text(json.dumps({"kind": "builtin", "name": "cantor " * 1000}))
-        with pytest.raises(ParseError, match="tree.txt: unknown builtin") as info:
+        with pytest.raises(ParseError, match="unknown builtin") as info:
             parse_spec(str(path))
         assert "cantor" not in str(info.value)
 

@@ -27,7 +27,6 @@ from cgmt.construct import (
     dense_monotone_min,
     interpolate_subset,
     lebesgue_path,
-    pruned_approx_subset,
     thinify,
 )
 from cgmt.measure import PreconditionMeasure, htilde
@@ -94,7 +93,6 @@ def test_root_code_shape():
     assert zc.top() == {""}
     assert len(zc.level(3)) == 8
     assert "101" in zc.level(3)
-    assert not zc.restriction
     marking = zc.marking(2)
     assert [len(level) for level in marking.levels] == [1, 2, 4]
 
@@ -127,7 +125,6 @@ def test_derived_codes_are_not_asked_again(monkeypatch):
 
 def test_restricted_code_filters():
     zc = PiecewiseCode.root_of(full_tree()).restricted("1")
-    assert zc.restriction
     assert zc.level(2) == {"10", "11"}
     assert "01" not in zc.level(2)
     assert "110" in zc.level(3)
@@ -220,7 +217,7 @@ def test_interpolate_prefix_resume():
 
 
 def test_pruned_variant_child_condition():
-    r = pruned_approx_subset(full_tree(), HALF, 1, 1, Fraction(1, 8))
+    r = approx_subset(full_tree().pruned(), HALF, 1, 1, Fraction(1, 8))
     assert r.code.top() == {"00", "10"}
     assert all(exactly(v, 1) for _, v in r.values)
     assert_code_conditions(r.code.marking(r.code.live_depth + 2), full_tree(), pruned=True)
@@ -283,7 +280,7 @@ def sweep_marking(zc, n_prime: int, m: int, index: int, block: int) -> BlockMark
     levels = list(ambient.levels[: n_prime + 1])
     levels += [{t[:length] for t in top} for length in range(n_prime + 1, m + 1)]
     levels += [{t for t in ambient.levels[length] if t[:m] in top} for length in range(m + 1, block + 1)]
-    return BlockMarking(block, levels, restriction=True)
+    return BlockMarking(block, levels)
 
 
 NO_11 = {"kind": "automatic", "transitions": [[0, 1], [0, 2], [2, 2]], "accepting": [0, 1]}
@@ -702,7 +699,7 @@ def test_membership_ops_never_consult_extendible():
 
 def test_jump_ops_use_both_oracles_only():
     src, calls = counting_source(full_tree())
-    pruned_approx_subset(src, HALF, 1, 1, Fraction(1, 8))
+    approx_subset(src.pruned(), HALF, 1, 1, Fraction(1, 8))
     assert calls["extendible"] > 0
 
     src, calls = counting_source(full_tree())

@@ -71,7 +71,7 @@ def test_left_half_unit_dimension():
 
 
 def test_empty_top_is_zero():
-    m = BlockMarking(2, (frozenset({""}), frozenset(), frozenset()), restriction=True)
+    m = BlockMarking(2, (frozenset({""}), frozenset(), frozenset()))
     assert htilde(m, HALF, 0).value.is_zero()
     assert htilde_bruteforce(m, HALF, 0).value.is_zero()
 
@@ -397,9 +397,9 @@ def test_measure_sequence_monotone():
 
 
 def test_measure_sequence_checks_one_marking(monkeypatch):
-    # the only marking checked is the explicit spec's own, when it is parsed;
-    # measure_sequence weighs the quotient and builds no marking, with or
-    # without states
+    # the only marking built is the explicit spec's own, checked by the
+    # constructor when it is parsed; measure_sequence weighs the quotient and
+    # builds no marking, with or without states
     checks, derived = [], []
     post_init = BlockMarking.__post_init__
     monkeypatch.setattr(
@@ -413,11 +413,11 @@ def test_measure_sequence_checks_one_marking(monkeypatch):
     explicit = spec_from_obj(
         {"kind": "explicit", "depth": 8, "members": ["", "0", "1", "01", "010", "0101"]}
     )
-    assert derived == [8]
+    assert checks == [8] and derived == []
     for src in (full_tree(), enumerated(full_tree()), explicit):
         values = measure_sequence(src, HALF, 1, [3, 5, 8])
         assert [v.at_block for v in values] == [3, 5, 8]
-    assert checks == [] and derived == [8]
+    assert checks == [8] and derived == []
 
 
 def test_measure_sequence_rejects_unsorted():

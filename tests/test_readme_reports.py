@@ -6,6 +6,15 @@ run.json for `cover-verify`, and `baire` reads the README's opens.json.
 Reports echo their path arguments, so both files are named relatively.
 The digests were recorded before the min-cover DP began sharing equal
 subtrees; a change that alters any report byte fails here.
+
+PINNED holds commands outside the README that run the paths a code's
+report, a pruned ambient and an explicit spec take: an `extract` at c = 0
+(on the full tree, and on a tree that dies, which returns the unrefined
+code), `extract-pruned` and `thin` on a dyadic tree, `besicovitch` at
+c = 0, `measure` and `baire` on an explicit spec file, and `measure` on
+the no-11 automaton.  Their digests were recorded before codes stopped
+keeping a restriction flag and explicit specs went through the
+BlockMarking constructor.
 """
 
 import hashlib
@@ -45,6 +54,34 @@ GOLDEN = {
 }
 
 
+# an explicit spec whose branch at "1" dies at length 2 and at "0100" at length 4
+EXPLICIT = {"kind": "explicit", "depth": 5, "members": sorted(
+    {s[:k] for s in ["00000", "00101", "01110", "01111", "0100", "10", "011"]
+     for k in range(len(s) + 1)}
+)}
+NO_11 = {"kind": "automatic", "transitions": [[0, 1], [0, 2], [2, 2]], "accepting": [0, 1]}
+PINNED_OPENS = [["0"], ["000", "001", "01"]]
+
+PINNED = {
+    "extract --tree full --s 1/2 --n 1 --c 0 --eps 1/4": (
+        0, "5fd62c0233a168dba8c9e26e09ceff27bc55a461c4b5b3b101452ab913142bef"),
+    "extract --tree explicit.json --s 1/2 --n 1 --c 0 --eps 1/4": (
+        0, "8fd0b021753346978be42e79ceeab1228833e35fd9e7ca3cd1d7d754b81d8724"),
+    "extract-pruned --tree dyadic(5/8) --s 1/2 --n 1 --c 1/2 --eps 1/8": (
+        0, "31595a3046962506dd6d5960ae51b7765e7ad0109194f569d05d7e7ab820aa31"),
+    "thin --tree dyadic(5/8) --s 1/2 --n 1 --c 1/2 --theta 1/64": (
+        0, "a06b88c41c66c06265d580737b7ff842e0444cb9e72849dc413ffae4c7cc1141"),
+    "besicovitch --tree full --s 1/2 --c 0 --stages 3": (
+        0, "2ffb2fa73ec5b5d7e5af2cec9e9d846e40c4094564b5d578989c0166d2a6b5cc"),
+    "measure --tree explicit.json --s 1/2 --n 1 --depth 5": (
+        0, "1be7fe1386df2ffb8b5ac55d32fd2ed6c85f63e2d224ce6d4bdf7fe76a36502f"),
+    "baire --tree explicit.json --opens opens.json --depth 5": (
+        0, "5b4896dc663d1844ecb852b6d7b4a47f70591eb08374fdfd91eab8dfa8cd4bd6"),
+    "measure --tree no11.json --s 1/2 --n 1 --depth 12": (
+        0, "ee07db799b4fff5e8bd3436ba7a6301277e4bb7619c18f1d5561e996cb9f9a6a"),
+}
+
+
 def readme_commands() -> list[str]:
     """The lines of the README's fenced sh block under "Command line"."""
     section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
@@ -71,3 +108,15 @@ def test_readme_reports_are_byte_identical(capsys, tmp_path, monkeypatch):
             (tmp_path / target).write_text(out, encoding="utf-8")
         got[line] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == GOLDEN
+
+
+def test_pinned_reports_are_byte_identical(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "explicit.json").write_text(json.dumps(EXPLICIT), encoding="utf-8")
+    (tmp_path / "no11.json").write_text(json.dumps(NO_11), encoding="utf-8")
+    (tmp_path / "opens.json").write_text(json.dumps(PINNED_OPENS), encoding="utf-8")
+    got = {}
+    for line in PINNED:
+        code = main(line.split())
+        got[line] = (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert got == PINNED

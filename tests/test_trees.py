@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,7 @@ from helpers_markings import (
     tree_of,
 )
 
+import cgmt
 from cgmt.construct import PiecewiseCode
 from cgmt.core import CgmtError, compatible
 from cgmt import trees as tr
@@ -48,6 +52,41 @@ def test_validate_prefix_closure():
     with pytest.raises(Condition1Violation) as e:
         BlockMarking(2, ({""}, set(), {"01"}))
     assert e.value.witness == "01"
+
+
+# level 3 holds orphans (no "1" is marked); level 4 more orphans and, in a
+# second marking, marks that are not binary strings of their length
+OFFENDING = (
+    [""], ["0"], ["00", "01"],
+    ["000", "011"] + [format(v, "03b") for v in range(4, 8)],
+    ["0000", "0111"] + [format(v, "04b") for v in range(9, 16)],
+)
+NOT_BINARY = OFFENDING[:3] + (["000", "011"], ["0000", "0111", "0x", "011x", "00y0"])
+
+_NAME_THE_WITNESS = """
+from cgmt.trees import BlockMarking, CodeViolation
+for levels in ({offending!r}, {not_binary!r}):
+    try:
+        BlockMarking(4, levels)
+    except CodeViolation as exc:
+        print(type(exc).__name__, exc.witness)
+"""
+
+
+def test_constructor_names_the_least_offending_mark_in_any_hash_order():
+    # one process cannot see set-iteration order change; two can
+    src = os.path.dirname(os.path.dirname(cgmt.__file__))
+    script = _NAME_THE_WITNESS.format(offending=OFFENDING, not_binary=NOT_BINARY)
+    outputs = []
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    # the shortest failing level first, then lexicographic order, whatever the kind
+    assert outputs[0] == "Condition1Violation 100\nShapeViolation 00y0\n"
+    assert outputs[1] == outputs[0] == outputs[2]
 
 
 def test_validate_ambient():
@@ -217,7 +256,7 @@ def members_through(src: TreeSource, block: int) -> tuple[frozenset[str], ...]:
 
 
 def checked(marking: BlockMarking) -> BlockMarking:
-    return BlockMarking(marking.block, marking.levels, restriction=marking.restriction)
+    return BlockMarking(marking.block, marking.levels)
 
 
 @pytest.mark.parametrize("name", GROWN_SOURCES)
@@ -331,7 +370,6 @@ def test_leftmost_prefixes_are_members():
 def test_restrict_full_code():
     full = marking_of_source(full_tree(), 3)
     r = full.restrict("1")
-    assert r.restriction
     marked = {s for level in r.levels for s in level}
     assert marked == {"", "1", "10", "11", "100", "101", "110", "111"}
     assert r.restrict("1") == r
@@ -339,7 +377,6 @@ def test_restrict_full_code():
 
 def test_restrict_marking_levels():
     m = marking_of_source(full_tree(), 2).restrict("0")
-    assert m.restriction
     assert m.marked_at(1) == {"0"}
     assert m.marked_at(0) == {""}
 
@@ -352,6 +389,6 @@ def test_cut_equals_checked_construction():
         marking = tree_of(top, block)
         for b in range(-1, block + 1):
             cut = marking.cut(b)
-            assert cut == BlockMarking(b, marking.levels[: b + 1], restriction=marking.restriction)
+            assert cut == BlockMarking(b, marking.levels[: b + 1])
     with pytest.raises(CgmtError):
         marking.cut(block + 1)

@@ -10,11 +10,11 @@ import random
 
 import pytest
 
-from helpers_markings import cyclic_automaton
+from helpers_markings import cyclic_automaton, strings_through
 
 from cgmt import treespec
 from cgmt.core import CgmtError
-from cgmt.treespec import spec_from_obj
+from cgmt.treespec import NotPrefixClosed, spec_from_obj
 
 
 def layered_automaton(rng: random.Random, widths=(1, 2, 4, 4, 4, 4)) -> dict:
@@ -140,3 +140,26 @@ def test_non_string_raises(bad):
     for oracle in (src.member, src.extendible):
         with pytest.raises(CgmtError):
             oracle(bad)
+
+
+def test_prefix_closure_witness_is_the_least_violation_by_enumeration():
+    # a least violation passes through distinct states, so it is at most
+    # as long as the automaton has states
+    rng = random.Random(1301)
+    for _ in range(300):
+        states = rng.randint(1, 6)
+        table = [[rng.randrange(states), rng.randrange(states)] for _ in range(states)]
+        accepting = [q for q in range(states) if rng.random() < 0.6]
+        fresh = FreshWalk({"transitions": table, "accepting": accepting, "start": 0})
+        least = next(
+            (s for s in strings_through(states)
+             if fresh.state(s) in fresh.accepting and not fresh.member(s)),
+            None,
+        )
+        doc = {"kind": "automatic", "transitions": table, "accepting": accepting, "start": 0}
+        if least is None:
+            spec_from_obj(doc)
+        else:
+            with pytest.raises(NotPrefixClosed) as info:
+                spec_from_obj(doc)
+            assert info.value.witness == least, (table, accepting)
