@@ -24,6 +24,7 @@ Exit codes, one per error family:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -170,6 +171,10 @@ def constant_in(test, span: str):
 
 
 _NONNEGATIVE = constant_in(lambda w: w.sign() >= 0, "at least 0")
+
+# below a shallower block, htilde at granularity n builds 2^((1-s)n); so --n, --n0
+# and thin's --nu take the cap that certificates and besicovitch --stages have
+_GRANULARITY = int_in(0, MAX_STAGES)
 
 
 def block_list(text: str) -> list[int]:
@@ -454,7 +459,15 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
                    help="strings held through the deepest block, root included")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every main call.
+
+    Callers must not mutate it.  Sharing is safe because nothing in it
+    depends on a call: its defaults are immutable, its types are pure
+    functions, parse_args returns a fresh namespace and error raises
+    without touching the parser.
+    """
     parser = _Parser(
         prog="cgmt",
         description="Exact Hausdorff premeasures and effective subset extraction on tree codes.",
@@ -470,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub_parser("measure", "premeasure value sequence over blocks")
     _add_tree(p)
     p.add_argument("--s", required=True, help="dimension: rational in (0, 16], denominator <= 256")
-    p.add_argument("--n", type=int_in(0), required=True, help="granularity")
+    p.add_argument("--n", type=_GRANULARITY, required=True, help="granularity")
     p.add_argument("--depth", type=int_in(0), default=6, help="last block when --blocks is absent")
     p.add_argument("--blocks", type=block_list, default=None,
                    help="comma-separated, strictly increasing block list")
@@ -485,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub_parser(name, "interpolated subset with pinned block values")
         _add_tree(p)
         p.add_argument("--s", required=True)
-        p.add_argument("--n", type=int_in(0), required=True)
+        p.add_argument("--n", type=_GRANULARITY, required=True)
         p.add_argument("--c", type=_NONNEGATIVE, required=True,
                        help="target value (rational or weight object)")
         p.add_argument("--eps", type=constant_in(lambda w: w.sign() > 0, "positive"),
@@ -497,12 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub_parser("thin", "force branches to baseline weight, keep the floor")
     _add_tree(p)
     p.add_argument("--s", required=True)
-    p.add_argument("--n", type=int_in(0), required=True)
-    p.add_argument("--nu", type=int_in(0), default=None, help="committed prefix block (default n)")
+    p.add_argument("--n", type=_GRANULARITY, required=True)
+    p.add_argument("--nu", type=_GRANULARITY, default=None,
+                   help="committed prefix block (default n)")
     p.add_argument("--c", required=True)
     p.add_argument("--theta", type=_NONNEGATIVE, required=True, help="slack per branch")
     p.add_argument("--window", type=int_in(0), default=2)
-    p.add_argument("--n0", type=int_in(0), default=0, help="granularity where c was certified")
+    p.add_argument("--n0", type=_GRANULARITY, default=0, help="granularity where c was certified")
     _add_budget(p)
     p.set_defaults(handler=_cmd_thin)
 

@@ -29,7 +29,7 @@ grows with depth; that gap is inherent to finite tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -53,16 +53,23 @@ _FLIP_BITS = str.maketrans("01", "10")
 
 @dataclass(frozen=True)
 class InjectionTable:
-    """Finite table of an injection: values[k] = f(k) for k < horizon."""
+    """Finite table of an injection: values[k] = f(k) for k < horizon.
+
+    Lookups read one value -> index map, built with the distinctness check,
+    so a query costs the same at every horizon.
+    """
 
     values: tuple[int, ...]
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for v in self.values:
             if not isinstance(v, int) or v < 0:
                 raise CgmtError(f"table values must be nonnegative integers, got {v!r}")
-        if len(set(self.values)) != len(self.values):
+        index = {v: k for k, v in enumerate(self.values)}
+        if len(index) != len(self.values):
             raise CgmtError("table values must be pairwise distinct")
+        object.__setattr__(self, "_index", index)
 
     @property
     def horizon(self) -> int:
@@ -73,10 +80,12 @@ class InjectionTable:
 
     def witness(self, n: int) -> Optional[int]:
         """Least k with f(k) = n, or None if n is outside the range."""
-        for k, v in enumerate(self.values):
-            if v == n:
-                return k
-        return None
+        return self._index.get(n)
+
+    def enumerated_before(self, n: int, bound: int) -> bool:
+        """Whether some k < bound has f(k) = n."""
+        k = self._index.get(n)
+        return k is not None and k < bound
 
 
 def marker(n: int) -> str:
@@ -149,22 +158,15 @@ def required_depth(kind: str, table: InjectionTable) -> int:
 
 
 def _marker_tree(table: InjectionTable, depth: int) -> TreeSource:
-    h = table.horizon
-
     def member(sigma: str) -> bool:
         check_bits(sigma)
         first = sigma.find("1")
-        if first < 0:
-            return True
-        bound = min(len(sigma), h)
-        return all(table.values[k] != first for k in range(bound))
+        return first < 0 or not table.enumerated_before(first, len(sigma))
 
     def extendible(sigma: str) -> bool:
         check_bits(sigma)
         first = sigma.find("1")
-        if first < 0:
-            return True
-        return all(table.values[k] != first for k in range(h))
+        return first < 0 or table.witness(first) is None
 
     def count(tau: str, m: int) -> int:
         if m < len(tau) or not member(tau):
@@ -173,13 +175,12 @@ def _marker_tree(table: InjectionTable, depth: int) -> TreeSource:
         if first >= 0:
             # inside a marked subtree: full fanout while the witness
             # bound min(length, horizon) keeps clearing
-            alive = all(table.values[k] != first for k in range(min(m, h)))
+            alive = not table.enumerated_before(first, m)
             return (1 << (m - len(tau))) if alive else 0
         total = 1  # the all-zero string of length m
         for n in range(len(tau), m):
-            if any(table.values[k] == n for k in range(min(m, h))):
-                continue
-            total += 1 << (m - n - 1)
+            if not table.enumerated_before(n, m):
+                total += 1 << (m - n - 1)
         return total
 
     return TreeSource(member=member, extendible=extendible, extension_count=count, name="marker-tree")
@@ -217,9 +218,8 @@ def _column_tree(table: InjectionTable, depth: int) -> tuple[TreeSource, tuple[C
 
     def member(sigma: str) -> bool:
         check_bits(sigma)
-        bound = min(len(sigma), h)
         for n in columns_in_view(len(sigma)):
-            if "0" in column(sigma, n) and any(table.values[k] == n for k in range(bound)):
+            if "0" in column(sigma, n) and table.enumerated_before(n, len(sigma)):
                 return False
         return True
 
@@ -234,9 +234,7 @@ def _column_tree(table: InjectionTable, depth: int) -> tuple[TreeSource, tuple[C
 
     def make_open(n: int) -> Callable[[str], bool]:
         def hit(sigma: str) -> bool:
-            if any(table.values[k] == n for k in range(min(len(sigma), h))):
-                return True
-            return "0" in column(sigma, n)
+            return table.enumerated_before(n, len(sigma)) or "0" in column(sigma, n)
 
         return hit
 

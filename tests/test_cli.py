@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from helpers_markings import strings_through
+from test_readme_reports import GOLDEN
 
 from cgmt.cli import (
     EXIT_BUDGET,
@@ -32,6 +34,7 @@ from cgmt.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     EXIT_VERDICT,
+    build_parser,
     main,
     parse_constant,
     run_verify_suite,
@@ -694,6 +697,44 @@ class TestCliExitCodes:
         doc = run_json(capsys, "measure", "--tree", "full", "--s", s, "--n", "1", "--depth", "3")
         assert len(doc["results"]["sequence"]) == 3
 
+    # a granularity past the stage cap made htilde's case 2 build 2^((1-s)n):
+    # 10^12 exited 11 with MemoryError and 3,000,000 ran for seconds
+    GRANULARITY_ARGV = {
+        "measure --n": ("measure", "--tree", "full", "--s", "1/2", "--blocks", "3", "--n"),
+        "extract --n": ("extract", "--tree", "full", "--s", "1/2", "--c", "1", "--eps", "1/4",
+                        "--n"),
+        "extract-pruned --n": ("extract-pruned", "--tree", "full", "--s", "1/2", "--c", "1",
+                               "--eps", "1/4", "--n"),
+        "thin --n": ("thin", "--tree", "full", "--s", "1/2", "--c", "1", "--theta", "1/64",
+                     "--n"),
+        "thin --nu": ("thin", "--tree", "full", "--s", "1/2", "--n", "1", "--c", "1",
+                      "--theta", "1/64", "--nu"),
+        "thin --n0": ("thin", "--tree", "full", "--s", "1/2", "--n", "1", "--c", "1",
+                      "--theta", "1/64", "--n0"),
+    }
+
+    @pytest.mark.parametrize("value", [10**12, 3_000_000])
+    @pytest.mark.parametrize("option", list(GRANULARITY_ARGV))
+    def test_granularity_past_the_cap_exits_2(self, capsys, option, value):
+        argv = [*self.GRANULARITY_ARGV[option], str(value)]
+        # the parser rejects it before any command runs
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        capsys.readouterr()
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert time.perf_counter() - start < 0.1
+        captured = capsys.readouterr()
+        assert info.value.code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("error[2] ") and captured.err.count("\n") == 1
+        assert f"must be in 0..{MAX_STAGES}" in captured.err
+
+    @pytest.mark.parametrize("option", list(GRANULARITY_ARGV))
+    def test_granularity_at_the_cap_parses(self, option):
+        args = build_parser().parse_args([*self.GRANULARITY_ARGV[option], str(MAX_STAGES)])
+        assert getattr(args, option.split("--")[1]) == MAX_STAGES == 16384
+
     def test_usage_error_is_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["gadget", "--kind", "mystery", "--table", "1"])
@@ -726,6 +767,34 @@ class TestCliExitCodes:
         assert info.value.code == EXIT_USAGE
         assert captured.out == ""
         assert captured.err.startswith("error[2] ") and captured.err.count("\n") == 1
+
+
+class TestSharedParser:
+    """One parser serves every main call of a process and keeps nothing between them."""
+
+    COMMANDS = [line for line in GOLDEN if line.split()[1] in ("measure", "gadget")]
+
+    def readme_digests(self, capsys) -> dict:
+        got = {}
+        for line in self.COMMANDS:
+            code = main(shlex.split(line)[1:])
+            got[line] = (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        return got
+
+    def test_errors_leave_no_state(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert build_parser() is build_parser()
+        expected = {line: GOLDEN[line] for line in self.COMMANDS}
+        assert len(expected) == 3
+        assert self.readme_digests(capsys) == expected
+        with pytest.raises(SystemExit) as info:
+            main(["measure", "--tree", "full", "--s", "1/2", "--n", "-1"])
+        assert info.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error[2] ")
+        code, out, err = run_cli(capsys, "measure", "--tree", "missing.json", "--s", "1/2",
+                                 "--n", "1")
+        assert code == EXIT_PARSE and out == "" and err.startswith("error[3] ")
+        assert self.readme_digests(capsys) == expected
 
 
 # drawn like perfbench's `paths` workload: layers of 1, 2, 4, 4, 4, 4 accepting

@@ -290,6 +290,91 @@ class TestDeficitAgainstDefinition:
         assert report.rows == tuple(expected) and report.ok
 
 
+# the lookups as linear scans of the table, the definitions the index replaces
+
+
+def scanned_witness(values, n):
+    for k, v in enumerate(values):
+        if v == n:
+            return k
+    return None
+
+
+def scanned_before(values, n, bound):
+    return any(values[k] == n for k in range(min(bound, len(values))))
+
+
+def scanned_marker_member(values, sigma):
+    first = sigma.find("1")
+    return first < 0 or not scanned_before(values, first, len(sigma))
+
+
+def scanned_marker_count(values, tau, m):
+    if m < len(tau) or not scanned_marker_member(values, tau):
+        return 0
+    first = tau.find("1")
+    if first >= 0:
+        return 0 if scanned_before(values, first, m) else 1 << (m - len(tau))
+    return 1 + sum(1 << (m - n - 1) for n in range(len(tau), m) if not scanned_before(values, n, m))
+
+
+def scanned_column_member(values, sigma):
+    n = 0
+    while pair(n, 0) < len(sigma):
+        if "0" in column(sigma, n) and scanned_before(values, n, len(sigma)):
+            return False
+        n += 1
+    return True
+
+
+class TestIndexAgainstLinearScan:
+    """The table's index answers every lookup as a scan of values would."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        rng = random.Random(37)
+        horizons = [0, 1, 64] + [rng.randint(0, 64) for _ in range(12)]
+        return [random_table(rng, h, 96) for h in horizons]
+
+    @staticmethod
+    def strings(rng: random.Random):
+        # markers at every position with random tails, all-zero strings, and
+        # strings that are mostly ones, so that some columns hold no 0
+        for first in range(0, 100, 3):
+            yield "0" * first + "1" + "".join(rng.choice("01") for _ in range(rng.randint(0, 20)))
+        for length in (0, 1, 7, 64, 99):
+            yield "0" * length
+        for _ in range(40):
+            weight = rng.choice((0.5, 0.97))
+            yield "".join("1" if rng.random() < weight else "0" for _ in range(rng.randint(0, 160)))
+
+    def test_witness(self, tables):
+        for t in tables:
+            for n in range(100):
+                assert t.witness(n) == scanned_witness(t.values, n)
+
+    def test_marker_tree(self, tables):
+        rng = random.Random(41)
+        for t in tables:
+            source = build_gadget("marker-tree", t, required_depth("marker-tree", t)).source
+            for sigma in self.strings(rng):
+                assert source.member(sigma) == scanned_marker_member(t.values, sigma)
+                first = sigma.find("1")
+                assert source.extendible(sigma) == (first < 0 or scanned_witness(t.values, first) is None)
+                for tau in (sigma[: rng.randint(0, len(sigma))], "0" * rng.randint(0, 70)):
+                    for m in (len(tau), len(tau) + rng.randint(1, 12), rng.randint(0, 90)):
+                        assert source.extension_count(tau, m) == scanned_marker_count(t.values, tau, m)
+
+    def test_column_tree(self, tables):
+        rng = random.Random(43)
+        for t in tables:
+            g = build_gadget("column-tree", t, required_depth("column-tree", t))
+            for sigma in self.strings(rng):
+                assert g.source.member(sigma) == scanned_column_member(t.values, sigma)
+                for n, hit in enumerate(g.opens):
+                    assert hit(sigma) == (scanned_before(t.values, n, len(sigma)) or "0" in column(sigma, n))
+
+
 class TestEvalCounterexample:
     def test_frozen_values(self):
         assert exactly(eval_counterexample("001"), Fraction(1, 4))
