@@ -173,13 +173,15 @@ def constant_in(test, span: str):
 _NONNEGATIVE = constant_in(lambda w: w.sign() >= 0, "at least 0")
 
 # below a shallower block, htilde at granularity n builds 2^((1-s)n); so --n, --n0
-# and thin's --nu take the cap that certificates and besicovitch --stages have
-_GRANULARITY = int_in(0, MAX_STAGES)
+# and thin's --nu take the cap that certificates and besicovitch --stages have.
+# So do the depths of measure (each --blocks value too) and lebesgue-path: both
+# build a list or table per level before any budget is checked
+_STAGE_CAPPED = int_in(0, MAX_STAGES)
 
 
 def block_list(text: str) -> list[int]:
-    """An argparse type: comma-separated, strictly increasing nonnegative integers."""
-    blocks = [int_in(0)(v) for v in text.split(",") if v.strip() != ""]
+    """An argparse type: comma-separated, strictly increasing integers in 0..MAX_STAGES."""
+    blocks = [_STAGE_CAPPED(v) for v in text.split(",") if v.strip() != ""]
     if blocks != sorted(set(blocks)):
         raise argparse.ArgumentTypeError("blocks must be strictly increasing")
     return blocks
@@ -483,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub_parser("measure", "premeasure value sequence over blocks")
     _add_tree(p)
     p.add_argument("--s", required=True, help="dimension: rational in (0, 16], denominator <= 256")
-    p.add_argument("--n", type=_GRANULARITY, required=True, help="granularity")
-    p.add_argument("--depth", type=int_in(0), default=6, help="last block when --blocks is absent")
+    p.add_argument("--n", type=_STAGE_CAPPED, required=True, help="granularity")
+    p.add_argument("--depth", type=_STAGE_CAPPED, default=6, help="last block when --blocks is absent")
     p.add_argument("--blocks", type=block_list, default=None,
                    help="comma-separated, strictly increasing block list")
     _add_budget(p)
@@ -498,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub_parser(name, "interpolated subset with pinned block values")
         _add_tree(p)
         p.add_argument("--s", required=True)
-        p.add_argument("--n", type=_GRANULARITY, required=True)
+        p.add_argument("--n", type=_STAGE_CAPPED, required=True)
         p.add_argument("--c", type=_NONNEGATIVE, required=True,
                        help="target value (rational or weight object)")
         p.add_argument("--eps", type=constant_in(lambda w: w.sign() > 0, "positive"),
@@ -510,13 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub_parser("thin", "force branches to baseline weight, keep the floor")
     _add_tree(p)
     p.add_argument("--s", required=True)
-    p.add_argument("--n", type=_GRANULARITY, required=True)
-    p.add_argument("--nu", type=_GRANULARITY, default=None,
+    p.add_argument("--n", type=_STAGE_CAPPED, required=True)
+    p.add_argument("--nu", type=_STAGE_CAPPED, default=None,
                    help="committed prefix block (default n)")
     p.add_argument("--c", required=True)
     p.add_argument("--theta", type=_NONNEGATIVE, required=True, help="slack per branch")
     p.add_argument("--window", type=int_in(0), default=2)
-    p.add_argument("--n0", type=_GRANULARITY, default=0, help="granularity where c was certified")
+    p.add_argument("--n0", type=_STAGE_CAPPED, default=0, help="granularity where c was certified")
     _add_budget(p)
     p.set_defaults(handler=_cmd_thin)
 
@@ -535,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True, help="promised mass",
                    type=constant_in(lambda w: w.q == 1 and w.sign() > 0 and w <= as_weight(1),
                                     "a rational in (0, 1]"))
-    p.add_argument("--depth", type=int_in(0), required=True)
+    p.add_argument("--depth", type=_STAGE_CAPPED, required=True)
     p.add_argument("--cap", type=int_in(0), default=None)
     _add_budget(p)
     p.set_defaults(handler=_cmd_lebesgue)

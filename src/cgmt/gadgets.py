@@ -25,6 +25,21 @@ Kinds:
 Every equivalence here is horizon-relative on both sides: "in range"
 always means "in {f(k): k < H}".  Fidelity to the untruncated statement
 grows with depth; that gap is inherent to finite tables.
+
+Cost of each replay, at horizon H and check depth D (D >= required_depth):
+
+  marker-tree    H probes of length D, each an O(D) membership: O(H D)
+  point-sequence H probes of length D, each an O(D) closed-form
+                 membership (no scan of the stems): O(H D)
+  column-tree    one O(D) check of the generic path, then column n's
+                 positions for each n; the columns are disjoint: O(H + D)
+  deficit-min    one O(H + D) deficit mask, one weighing of the all-ones
+                 string and H weighings of its flips, each O(D): O(H D)
+  first-one-inf  at most 12 evaluations on strings of at most 12 bits
+
+Character and big-integer operations count as O(D) each; every lookup in
+the table is one read of its index.  Building a point-sequence instance
+holds its H stems, O(H D) characters.
 """
 
 from __future__ import annotations
@@ -56,11 +71,13 @@ class InjectionTable:
     """Finite table of an injection: values[k] = f(k) for k < horizon.
 
     Lookups read one value -> index map, built with the distinctness check,
-    so a query costs the same at every horizon.
+    so a query costs the same at every horizon.  The deficit masks are kept
+    per string length in a memo the table owns.
     """
 
     values: tuple[int, ...]
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
+    _deficit_masks: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for v in self.values:
@@ -70,6 +87,7 @@ class InjectionTable:
         if len(index) != len(self.values):
             raise CgmtError("table values must be pairwise distinct")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_deficit_masks", {})
 
     @property
     def horizon(self) -> int:
@@ -86,6 +104,23 @@ class InjectionTable:
         """Whether some k < bound has f(k) = n."""
         k = self._index.get(n)
         return k is not None and k < bound
+
+    def deficit_mask(self, length: int) -> int:
+        """The positions n < length enumerated by some k < length, as bits.
+
+        Position n is bit length-1-n, most significant first, as in a bit
+        string of that length read as a binary number.  Built once per
+        length from the index, in O(horizon + length).
+        """
+        mask = self._deficit_masks.get(length)
+        if mask is None:
+            bits = bytearray(b"0" * length)
+            for n, k in self._index.items():
+                if n < length and k < length:
+                    bits[n] = ord("1")
+            mask = int(bits or b"0", 2)
+            self._deficit_masks[length] = mask
+        return mask
 
 
 def marker(n: int) -> str:
@@ -193,12 +228,20 @@ def _point_sequence(table: InjectionTable, depth: int) -> tuple[TreeSource, tupl
             f"point-sequence depth {depth} hides value {max(bad)}; need depth > every table value"
         )
     stems = tuple(single_one_path(v, depth) for v in table.values)
+    longest_zeros = max(table.values, default=0)
 
     def member(sigma: str) -> bool:
+        # sigma is a prefix of the stem 0^v 1 0^(depth-v-1) iff it is 0^j with
+        # j <= v, or has its only 1 at position v
         check_bits(sigma)
         if len(sigma) > depth:
             return False
-        return any(s.startswith(sigma) for s in stems) if stems else sigma == ""
+        if not stems:
+            return sigma == ""
+        first = sigma.find("1")
+        if first < 0:
+            return len(sigma) <= longest_zeros
+        return sigma.count("1") == 1 and table.witness(first) is not None
 
     return (
         TreeSource(member=member, extendible=member, name="point-sequence"),
@@ -274,7 +317,14 @@ def decode_column_path(g: "GadgetInstance", z: str, n: int) -> Optional[bool]:
     if g.kind != "column-tree":
         raise CgmtError(f"decode_column_path needs a column-tree, got {g.kind}")
     check_bits(z)
-    table = g.table
+    return _decode_column(g.table, z, n)
+
+
+def _decode_column(table: InjectionTable, z: str, n: int) -> Optional[bool]:
+    """decode_column_path on a path already checked to be binary.
+
+    Reads only column n of z, so decoding every column reads each bit at most once.
+    """
     witness = table.witness(n)
     first_zero: Optional[int] = None
     m = 0
@@ -304,15 +354,12 @@ def smmin_weight(table: InjectionTable, sigma: str) -> AlgebraicWeight:
     sigma(n) = 1 and some k < min(|sigma|, horizon) has f(k) = n.  Values
     are monotone decreasing along extensions: both triggers only grow.  The
     deficit is built as one integer over 2^|sigma| whose bits are the
-    triggering positions, most significant first.
+    triggering positions, most significant first: the zeros of sigma ORed
+    with the table's deficit mask for |sigma|.
     """
     check_bits(sigma)
     length = len(sigma)
-    triggers = int(sigma.translate(_FLIP_BITS) or "0", 2)
-    for k in range(min(length, table.horizon)):
-        n = table.values[k]
-        if n < length:
-            triggers |= 1 << (length - 1 - n)
+    triggers = int(sigma.translate(_FLIP_BITS) or "0", 2) | table.deficit_mask(length)
     return AlgebraicWeight.from_rational(Fraction((1 << length) - triggers, 1 << length))
 
 
@@ -396,8 +443,9 @@ def _check_point_sequence(g: GadgetInstance, depth: int) -> tuple[tuple[int, boo
 def _check_column_tree(g: GadgetInstance, depth: int) -> tuple[tuple[int, bool, bool], ...]:
     rows = []
     z = g.generic_path[:depth]
+    check_bits(z)
     for n in range(g.table.horizon):
-        verdict = decode_column_path(g, z, n)
+        verdict = _decode_column(g.table, z, n)
         direct = g.table.witness(n) is not None
         if verdict is None:
             verdict = not direct  # undecided scans count as mismatches
@@ -407,13 +455,14 @@ def _check_column_tree(g: GadgetInstance, depth: int) -> tuple[tuple[int, bool, 
 
 def _check_deficit_min(g: GadgetInstance, depth: int) -> tuple[tuple[int, bool, bool], ...]:
     # flipping position n of an all-ones string moves the weight iff n
-    # was not already in the deficit set, i.e. iff n is unenumerated
+    # was not already in the deficit set, i.e. iff n is unenumerated; depth
+    # >= required_depth = max(horizon, 1), so one all-ones string holds every n
     rows = []
+    ones = "1" * depth
+    unflipped = g.evaluator(ones)
     for n in range(g.table.horizon):
-        length = max(depth, n + 1)
-        ones = "1" * length
         flipped = ones[:n] + "0" + ones[n + 1 :]
-        same = (g.evaluator(ones) - g.evaluator(flipped)).is_zero()
+        same = (unflipped - g.evaluator(flipped)).is_zero()
         rows.append((n, same, g.table.witness(n) is not None))
     return tuple(rows)
 

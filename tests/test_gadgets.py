@@ -6,11 +6,13 @@ small tables; everything else is an exhaustive or sampled invariant with
 both sides computed independently.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from cgmt import core, gadgets
 from cgmt.core import CgmtError, column, pair
 from cgmt.gadgets import (
     GADGET_KINDS,
@@ -373,6 +375,147 @@ class TestIndexAgainstLinearScan:
                 assert g.source.member(sigma) == scanned_column_member(t.values, sigma)
                 for n, hit in enumerate(g.opens):
                     assert hit(sigma) == (scanned_before(t.values, n, len(sigma)) or "0" in column(sigma, n))
+
+
+# the replays' closed forms against the scans they replace
+
+
+def scanned_point_member(values, depth, sigma):
+    """Whether sigma is a prefix of some stem 0^v 1 0^(depth-v-1)."""
+    stems = ["0" * v + "1" + "0" * (depth - v - 1) for v in values]
+    if len(sigma) > depth:
+        return False
+    return any(s.startswith(sigma) for s in stems) if stems else sigma == ""
+
+
+def scanned_column_decision(values, z, n):
+    """decode_column_path by reading column n of z and scanning the table."""
+    witness = scanned_witness(values, n)
+    col = column(z, n)
+    first_zero = pair(n, col.index("0")) if "0" in col else None
+    if witness is not None and witness < len(z) and (first_zero is None or witness < first_zero):
+        return True
+    if first_zero is not None and (witness is None or first_zero < witness):
+        return False
+    return None
+
+
+def scanned_rows(kind, values, depth):
+    """check_gadget's rows for kind, each row from the scans above."""
+    rows = []
+    t = InjectionTable(values)
+    if kind == "column-tree":
+        zeros = {pair(n, 0) for n in range(len(values)) if scanned_witness(values, n) is None}
+        z = "".join("0" if pos in zeros else "1" for pos in range(depth))
+    for n in range(len(values)):
+        direct = scanned_witness(values, n) is not None
+        if kind == "point-sequence":
+            probe = "0" * n + "1" + "0" * (depth - n - 1)
+            verdict = scanned_point_member(values, depth, probe)
+        elif kind == "deficit-min":
+            ones = "1" * max(depth, n + 1)
+            flipped = ones[:n] + "0" + ones[n + 1 :]
+            verdict = deficit_weight_by_definition(t, ones) == deficit_weight_by_definition(t, flipped)
+        else:
+            verdict = scanned_column_decision(values, z, n)
+            if verdict is None:
+                verdict = not direct
+        rows.append((n, verdict, direct))
+    return tuple(rows)
+
+
+class TestClosedFormsAgainstScans:
+    """Each replay answers as the scan it replaced would, and does the work once."""
+
+    def test_point_sequence_member(self):
+        rng = random.Random(47)
+        tables = [(), (0,), (6,), (0, 1, 2, 3, 4, 5, 6)]
+        tables += [tuple(rng.sample(range(7), rng.randint(1, 6))) for _ in range(8)]
+        for values in tables:
+            t = InjectionTable(values)
+            need = max(required_depth("point-sequence", t), 1)
+            for depth in (need, need + 1):
+                member = build_gadget("point-sequence", t, depth).source.member
+                for length in range(depth + 2):
+                    for i in range(1 << length):
+                        sigma = format(i, f"0{length}b") if length else ""
+                        assert member(sigma) == scanned_point_member(values, depth, sigma), (values, sigma)
+                for bad in ("2", "0a", "x" * (depth + 3)):
+                    with pytest.raises(CgmtError, match="binary"):
+                        member(bad)
+
+    def test_deficit_weight_interleaved_lengths(self):
+        # one table, lengths revisited out of order, so that a mask kept for
+        # the wrong length would show
+        rng = random.Random(53)
+        t = random_table(rng, 40, 80)
+        for length in [0, 1, 5, 40, 41, 80, 5, 0, 41, 39, 1, 40, 100, 5]:
+            for _ in range(3):
+                sigma = "".join(rng.choice("01") for _ in range(length))
+                assert exactly(smmin_weight(t, sigma), deficit_weight_by_definition(t, sigma))
+
+    # column-tree's least depth passes MAX_GADGET_DEPTH past horizon 180;
+    # deficit-min at horizon 256 is TestDeficitAgainstDefinition's check
+    LARGE_HORIZONS = {"point-sequence": [256], "deficit-min": [], "column-tree": [180]}
+
+    @pytest.mark.parametrize("kind", list(LARGE_HORIZONS))
+    def test_check_rows(self, kind):
+        rng = random.Random(59)
+        for horizon in [*range(65), *self.LARGE_HORIZONS[kind]]:
+            t = random_table(rng, horizon, 2 * horizon + 1)
+            depth = max(required_depth(kind, t), 1)
+            report = check_gadget(build_gadget(kind, t, depth), t)
+            assert report.rows == scanned_rows(kind, t.values, depth), (kind, horizon)
+            assert report.ok
+
+    def test_decode_column_path_rejects_non_binary(self):
+        g = build_gadget("column-tree", InjectionTable((1, 2, 5, 8)), 16)
+        with pytest.raises(CgmtError, match="binary"):
+            decode_column_path(g, g.generic_path[:-1] + "2", 0)
+
+    def test_deficit_min_weighs_the_unflipped_string_once(self):
+        t = random_table(random.Random(61), 64, 128)
+        g = build_gadget("deficit-min", t, required_depth("deficit-min", t))
+        calls = []
+
+        def counted(sigma):
+            calls.append(len(sigma))
+            return g.evaluator(sigma)
+
+        assert check_gadget(dataclasses.replace(g, evaluator=counted), t).ok
+        assert len(calls) == t.horizon + 1
+
+    def test_column_tree_checks_the_generic_path_once(self, monkeypatch):
+        t = random_table(random.Random(67), 64, 128)
+        g = build_gadget("column-tree", t, required_depth("column-tree", t))
+        checked = []
+
+        def counted(s):
+            checked.append(len(s))
+            core.check_bits(s)
+
+        monkeypatch.setattr(gadgets, "check_bits", counted)
+        assert check_gadget(g, t).ok
+        assert checked == [g.depth]
+
+    def test_deficit_mask_built_once_per_length(self):
+        class CountingMemo(dict):
+            def __init__(self):
+                super().__init__()
+                self.stores = []
+
+            def __setitem__(self, length, mask):
+                self.stores.append(length)
+                super().__setitem__(length, mask)
+
+        t = random_table(random.Random(71), 64, 128)
+        memo = CountingMemo()
+        object.__setattr__(t, "_deficit_masks", memo)
+        for length in (5, 9, 5, 9, 0, 64):
+            smmin_weight(t, "1" * length)
+        g = build_gadget("deficit-min", t, 64)
+        assert check_gadget(g, t).ok
+        assert sorted(memo.stores) == [0, 5, 9, 64]
 
 
 class TestEvalCounterexample:
