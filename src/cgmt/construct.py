@@ -4,14 +4,16 @@ The engine is interpolation: copy a committed code prefix, keep one
 lexicographically least skeleton branch per committed node, then restore the
 removed level-m branches one at a time in bit-reversed order.  Restoring a
 branch can raise any block value by at most that branch's own weight, so the
-values seen along the sweep are monotone in the sweep index and a binary
-search per block finds the least index whose value reaches the target; the
-chosen index is then re-verified exactly on a window of consecutive blocks
-before anything is returned.  The sweep's markings are never built: below
-the top level m a sweep marking is the code's own subtrees, so one
-measure.ShapeTable per probe gives each level-m subtree its shape id once
-per block, a sweep step climbs only its top strings to the root, and the
-binary search compares the root's ring vector with the target exactly.
+values seen along the sweep are monotone in the sweep index.  One search per
+window carries the largest index so far across its blocks, binary-searching
+above it only a block still below target there; that index is re-verified
+exactly on the window before anything is returned.  The top cap, which ends
+the tops tried, is tested only after a top misses.  The sweep's markings are
+never built: below the top level m a sweep marking is the code's own
+subtrees, so one measure.ShapeTable per probe gives each level-m subtree its
+shape id once per block, a sweep step climbs only its top strings to the
+root, and the binary search compares the root's ring vector with the target
+exactly.
 
 Everything else is built from that engine.  Thinning forces every length-n
 branch down to its baseline weight by re-interpolating the fat ones, the
@@ -129,10 +131,10 @@ class PiecewiseCode:
         # the explicit part, a tree grown from source
         explicit = BlockMarking.derived(self.live_depth, tuple(self._levels[: self.live_depth + 1]))
         member = self.source.member
-        src = TreeSource(
-            member=lambda s, _t=tau: compatible(s, _t) and member(s),
-            name=f"{self.source.name}|{tau or 'root'}",
-        )
+        if len(tau) > self.live_depth:
+            # a tail string can leave tau only while tau is longer than the top
+            member = lambda s, _t=tau, _m=member: compatible(s, _t) and _m(s)
+        src = TreeSource(member=member, name=f"{self.source.name}|{tau or 'root'}")
         # this code's marks compatible with tau: members of src, parents kept
         return PiecewiseCode(src, self.live_depth, explicit.restrict(tau).levels)
 
@@ -208,16 +210,16 @@ def interpolate_subset(
     if not roots:
         raise PreconditionMeasure("the ambient code is dead at the requested prefix")
     bound = c_w + eps_w
-    top_cap = n_prime
-    while not (
-        cylinder_weight(s, top_cap) < eps_w and cylinder_weight(s, top_cap) * len(roots) < bound
-    ):
-        top_cap += 1
-    for m in range(n_prime, top_cap + 1):
+    m = n_prime
+    while True:
         found = _probe(zc, n_prime, m, s, n, c_w, eps_w, window, budget)
         if found is not None:
             return found
-    raise NoStableIndex(window)
+        # the top cap: the least m whose cylinders are thin enough
+        cyl = cylinder_weight(s, m)
+        if cyl < eps_w and cyl * len(roots) < bound:
+            raise NoStableIndex(window)
+        m += 1
 
 
 def _interpolate_above_zero(
@@ -264,7 +266,9 @@ def _probe(
     window: int,
     budget: int,
 ) -> Optional[InterpolationResult]:
-    """Run the restore sweep with its top at level m; None if no index lands."""
+    """Run the restore sweep with its top at level m; None if no index lands.
+
+    One search for the window carries the largest index across its blocks."""
     deep = m + window
     big = zc.marking(deep, budget)
     z_top = big.levels[m]
@@ -305,22 +309,22 @@ def _probe(
     def below_target(i: int, block: int) -> bool:
         return ring.sign_against(table.vector(root_at(i, block)), c_w) < 0
 
-    picks = []
+    index = 0
     for block in range(m, deep + 1):
         # the full sweep is the ambient tree itself; below target means the
         # caller's lower-bound promise is false at this depth
         if below_target(total, block):
             raise PreconditionMeasure(f"ambient block value below the target at block {block}")
-        lo, hi = 0, total
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if below_target(mid, block):
-                lo = mid + 1
-            else:
-                hi = mid
-        picks.append(lo)
+        if below_target(index, block):
+            lo, hi = index + 1, total
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if below_target(mid, block):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            index = lo
 
-    index = max(picks)
     window_roots = [(block, root_at(index, block)) for block in range(m, deep + 1)]
     bound = c_w + eps_w
     if not all(ring.sign_against(table.vector(root), bound) < 0 for _, root in window_roots):

@@ -38,8 +38,7 @@ Cost of each replay, at horizon H and check depth D (D >= required_depth):
   first-one-inf  at most 12 evaluations on strings of at most 12 bits
 
 Character and big-integer operations count as O(D) each; every lookup in
-the table is one read of its index.  Building a point-sequence instance
-holds its H stems, O(H D) characters.
+the table is one read of its index.
 """
 
 from __future__ import annotations
@@ -141,8 +140,8 @@ def single_one_path(n: int, depth: int) -> str:
 class GadgetInstance:
     """One materialized encoding, reproducible from (kind, table, depth).
 
-    source is the encoded tree for the tree-shaped kinds; sequence holds
-    the depth-truncated point stems for point-sequence; opens are the
+    source is the encoded tree for the tree-shaped kinds, and for
+    point-sequence the tree of its stems' prefixes; opens are the
     per-column upward-closed codes for column-tree; evaluator is the
     weight functional for the two weight kinds.  stand_in names any exact
     closed form used in place of a search the construction's ambient
@@ -153,7 +152,6 @@ class GadgetInstance:
     table: InjectionTable
     depth: int
     source: Optional[TreeSource] = None
-    sequence: tuple[str, ...] = ()
     opens: tuple[Callable[[str], bool], ...] = ()
     evaluator: Optional[Callable[[str], AlgebraicWeight]] = None
     generic_path: str = ""
@@ -221,13 +219,12 @@ def _marker_tree(table: InjectionTable, depth: int) -> TreeSource:
     return TreeSource(member=member, extendible=extendible, extension_count=count, name="marker-tree")
 
 
-def _point_sequence(table: InjectionTable, depth: int) -> tuple[TreeSource, tuple[str, ...]]:
+def _point_sequence(table: InjectionTable, depth: int) -> TreeSource:
     bad = [v for v in table.values if v >= depth]
     if bad:
         raise CgmtError(
             f"point-sequence depth {depth} hides value {max(bad)}; need depth > every table value"
         )
-    stems = tuple(single_one_path(v, depth) for v in table.values)
     longest_zeros = max(table.values, default=0)
 
     def member(sigma: str) -> bool:
@@ -236,17 +233,14 @@ def _point_sequence(table: InjectionTable, depth: int) -> tuple[TreeSource, tupl
         check_bits(sigma)
         if len(sigma) > depth:
             return False
-        if not stems:
+        if not table.values:
             return sigma == ""
         first = sigma.find("1")
         if first < 0:
             return len(sigma) <= longest_zeros
         return sigma.count("1") == 1 and table.witness(first) is not None
 
-    return (
-        TreeSource(member=member, extendible=member, name="point-sequence"),
-        stems,
-    )
+    return TreeSource(member=member, extendible=member, name="point-sequence")
 
 
 def _column_tree(table: InjectionTable, depth: int) -> tuple[TreeSource, tuple[Callable[[str], bool], ...]]:
@@ -395,8 +389,7 @@ def build_gadget(kind: str, table: InjectionTable, depth: int) -> GadgetInstance
     if kind == "marker-tree":
         return GadgetInstance(kind=kind, table=table, depth=depth, source=_marker_tree(table, depth))
     if kind == "point-sequence":
-        source, stems = _point_sequence(table, depth)
-        return GadgetInstance(kind=kind, table=table, depth=depth, source=source, sequence=stems)
+        return GadgetInstance(kind=kind, table=table, depth=depth, source=_point_sequence(table, depth))
     if kind == "column-tree":
         source, opens = _column_tree(table, depth)
         return GadgetInstance(

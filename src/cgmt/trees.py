@@ -338,11 +338,11 @@ class BlockMarking:
 
     def restrict(self, tau: str) -> "BlockMarking":
         check_bits(tau)
-        # a mark compatible with tau has a parent compatible with tau
-        return BlockMarking.derived(
-            self.block,
-            tuple(frozenset(s for s in level if compatible(s, tau)) for level in self.levels),
-        )
+        # the marks compatible with tau, each with its parent: below |tau| at
+        # most tau's own prefix, from |tau| on the marks extending tau
+        head = tuple(level & {tau[:length]} for length, level in enumerate(self.levels[: len(tau)]))
+        tail = tuple(frozenset(s for s in lv if s.startswith(tau)) for lv in self.levels[len(tau) :])
+        return BlockMarking.derived(self.block, head + tail)
 
     def to_source(self) -> TreeSource:
         """Membership to the block; extendible means reaching it."""

@@ -281,9 +281,11 @@ def test_criterion_7_gadget_equivalences_horizon_64():
             assert witness_alive == (n not in ran)
         # and the literal exists-k scan over the point stems
         g = build_gadget("point-sequence", table, required_depth("point-sequence", table))
+        stems = [single_one_path(v, g.depth) for v in table.values]
         for n in range(64):
-            exists_k = any(stem == single_one_path(n, g.depth) for stem in g.sequence)
-            assert exists_k == (n in ran)
+            path = single_one_path(n, g.depth)
+            exists_k = any(stem == path for stem in stems)
+            assert exists_k == (n in ran) == g.source.member(path)
     print("\nCRITERION 7 PASS: 20 tables x 4 encodings decode range-at-horizon-64 exactly")
 
 

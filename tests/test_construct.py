@@ -7,13 +7,15 @@ error-path assertions.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from helpers_markings import assert_code_conditions, grown_source, marking_of_source, tree_of
 
-from cgmt.core import BudgetExceeded, CgmtError
+from cgmt import construct
+from cgmt.core import BudgetExceeded, CgmtError, compatible
 from cgmt.construct import (
     DensityTarget,
     DensityViolated,
@@ -29,7 +31,7 @@ from cgmt.construct import (
     lebesgue_path,
     thinify,
 )
-from cgmt.measure import PreconditionMeasure, htilde
+from cgmt.measure import PreconditionMeasure, ShapeTable, htilde
 from cgmt.treespec import spec_from_obj
 from cgmt.trees import (
     BlockMarking,
@@ -38,9 +40,10 @@ from cgmt.trees import (
     dyadic_tree,
     full_tree,
     levels_of_source,
+    prefix_closure,
     rooted_tree,
 )
-from cgmt.weights import AlgebraicWeight, ScaledRing
+from cgmt.weights import AlgebraicWeight, ScaledRing, cylinder_weight
 
 HALF = Fraction(1, 2)
 
@@ -290,6 +293,11 @@ SWEEP_CODES = {
     "no-11": lambda: PiecewiseCode.root_of(spec_from_obj(NO_11)),
     "restricted": lambda: PiecewiseCode.root_of(dyadic_tree(5, 3)).restricted("10"),
 }
+# bits at even positions are free and odd ones are 0: dimension 1/2, so at
+# s > 1/2 block values fall with the block and the window's blocks need
+# different sweep indices; on the codes above they all need the same one
+EVEN_BITS = {"kind": "automatic", "transitions": [[1, 1], [0, 2], [2, 2]], "accepting": [0, 1]}
+CARRY_CODES = {**SWEEP_CODES, "even-bits": lambda: PiecewiseCode.root_of(spec_from_obj(EVEN_BITS))}
 
 
 @pytest.mark.parametrize("name", list(SWEEP_CODES))
@@ -324,6 +332,104 @@ def test_sweep_matches_materialized_markings(name, s):
                 for block, _ in r.values
             )
     assert checked >= 2
+
+
+@pytest.mark.parametrize("name", list(CARRY_CODES))
+@pytest.mark.parametrize("s", [Fraction(1, 3), HALF, Fraction(2, 3)], ids=str)
+def test_sweep_index_is_the_window_max_of_least_indices(name, s):
+    # the sweep carries one index across the window; it must be the largest
+    # over the window's blocks of each block's least index at target, found
+    # here by a linear scan of rebuilt markings
+    rng = random.Random(f"carried index {name} {s}")
+    zc = CARRY_CODES[name]()
+    checked = 0
+    for _ in range(6):
+        n = rng.randint(0, 2)
+        n_prime = n + rng.randint(0, 2)
+        ceiling = htilde(zc.marking(n_prime + 6), s, n, want_witness=False).value
+        c = ceiling * Fraction(rng.randint(4, 16), 16)
+        eps = ceiling * Fraction(1, 1 << rng.randint(1, 3))
+        try:
+            r = interpolate_subset(zc, n_prime, s, n, c, eps)
+        except (NoStableIndex, PreconditionMeasure):
+            continue
+        checked += 1
+        least = []
+        for block, _ in r.values:
+            # past the last removed string the sweep is the ambient code,
+            # which is at target or the search would have raised
+            i = 0
+            while htilde(sweep_marking(zc, n_prime, r.top_level, i, block), s, n, False).value < c:
+                i += 1
+            least.append(i)
+        assert r.restored == max(least), (n, n_prime, c, eps, least)
+    assert checked >= 2
+
+
+def test_extraction_searches_each_window_once(monkeypatch):
+    # a binary search per block made 183 climbs to the root here (180 of
+    # them sweep steps), and an eager top cap 150 exact comparisons
+    counts = {"climbs": 0, "lt": 0}
+    climb, lt = ShapeTable.climb, AlgebraicWeight.__lt__
+
+    def counted_climb(self, ids, length, stop=0):
+        # htilde's own climbs come from cgmt.measure
+        if stop == 0 and sys._getframe(1).f_globals["__name__"] == "cgmt.construct":
+            counts["climbs"] += 1
+        return climb(self, ids, length, stop)
+
+    def counted_lt(a, b):
+        counts["lt"] += 1
+        return lt(a, b)
+
+    monkeypatch.setattr(ShapeTable, "climb", counted_climb)
+    monkeypatch.setattr(AlgebraicWeight, "__lt__", counted_lt)
+    besicovitch_extract(full_tree(), HALF, 1, 0, 6)
+    monkeypatch.undo()
+    assert counts["climbs"] <= 90, counts
+    assert counts["lt"] <= 30, counts
+
+
+def test_lazy_top_cap_tries_the_eager_tops(monkeypatch):
+    # this target has no stable index at any top; the tops tried must be
+    # n_prime through the least m whose cylinders are thin enough
+    src = spec_from_obj(EVEN_BITS)
+    s, n_prime, c, eps = Fraction(2, 3), 1, W(Fraction(1, 4)), W(Fraction(1, 16))
+    roots = len(PiecewiseCode.root_of(src).level(n_prime))
+    top_cap = n_prime
+    while not (
+        cylinder_weight(s, top_cap) < eps and cylinder_weight(s, top_cap) * roots < c + eps
+    ):
+        top_cap += 1
+    tops = []
+    probe = construct._probe
+
+    def counted_probe(zc, n_prime, m, *rest):
+        tops.append(m)
+        return probe(zc, n_prime, m, *rest)
+
+    monkeypatch.setattr(construct, "_probe", counted_probe)
+    with pytest.raises(NoStableIndex):
+        interpolate_subset(src, n_prime, s, n_prime, c, eps)
+    assert tops == list(range(n_prime, top_cap + 1))
+
+
+@pytest.mark.parametrize("name", ["no-11", "even-bits"])
+def test_restricted_levels_are_the_compatible_filter(name):
+    # a code explicit through length 3 with a seeded top; a tau no longer
+    # than that restricts the tail through the top alone, a longer one
+    # filters the tail itself
+    src = spec_from_obj({"no-11": NO_11, "even-bits": EVEN_BITS}[name])
+    rng = random.Random(f"restricted {name}")
+    top = {t for t in sorted(levels_of_source(src, 3)[3]) if rng.random() < 0.6}
+    code = PiecewiseCode(src, 3, prefix_closure(top, 3))
+    for length in range(6):
+        for v in range(1 << length):
+            tau = format(v, f"0{length}b") if length else ""
+            restricted = code.restricted(tau)
+            for level in range(code.live_depth + 1, code.live_depth + 4):
+                expected = {t for t in code.level(level) if compatible(t, tau)}
+                assert restricted.level(level) == expected, (tau, level)
 
 
 def test_sweep_weighs_shared_shapes_once(monkeypatch):

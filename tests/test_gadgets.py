@@ -121,7 +121,11 @@ class TestMarkerTree:
 class TestPointSequence:
     def test_stems_are_single_one_paths(self):
         g = build_gadget("point-sequence", InjectionTable((2, 0, 5)), 8)
-        assert g.sequence == ("00100000", "10000000", "00000100")
+        stems = tuple(single_one_path(v, g.depth) for v in g.table.values)
+        assert stems == ("00100000", "10000000", "00000100")
+        # the members of full length are exactly the stems
+        full = (format(i, "08b") for i in range(1 << 8))
+        assert {s for s in full if g.source.member(s)} == set(stems)
 
     def test_membership_is_stem_prefix(self):
         g = build_gadget("point-sequence", InjectionTable((2, 0, 5)), 8)
@@ -566,7 +570,9 @@ class TestBuildGadget:
         assert ra.rows == rb.rows and ra.ok and rb.ok
         pa = build_gadget("point-sequence", t, 12)
         pb = build_gadget("point-sequence", t, 12)
-        assert pa.sequence == pb.sequence
+        stems = [single_one_path(v, 12) for v in t.values]
+        assert all(pa.source.member(x) and pb.source.member(x) for x in stems)
+        assert check_gadget(pa, t).rows == check_gadget(pb, t).rows
 
 
 class TestCheckGadget:

@@ -10,6 +10,7 @@ from helpers_markings import (
     cyclic_automaton,
     marking_of_source,
     pruned,
+    random_marking,
     strings_through,
     tree_of,
 )
@@ -379,6 +380,24 @@ def test_restrict_marking_levels():
     m = marking_of_source(full_tree(), 2).restrict("0")
     assert m.marked_at(1) == {"0"}
     assert m.marked_at(0) == {""}
+
+
+def test_restrict_is_the_compatible_filter():
+    # taus of length 0, shorter than the block, equal to it and longer; half
+    # extend a mark of their length (or of the top), half are random bits
+    rng = random.Random("restrict")
+    for _ in range(60):
+        marking = random_marking(rng, max_block=7)
+        block = marking.block
+        shorter = rng.randrange(1, block) if block > 1 else 0
+        for length in (0, shorter, block, block + rng.randint(1, 3)):
+            marks = sorted(marking.marked_at(min(length, block)))
+            stem = rng.choice(marks) if marks and rng.random() < 0.5 else ""
+            tau = stem + "".join(rng.choice("01") for _ in range(length - len(stem)))
+            expected = tuple(
+                frozenset(s for s in level if compatible(s, tau)) for level in marking.levels
+            )
+            assert marking.restrict(tau).levels == expected, (marking, tau)
 
 
 def test_cut_equals_checked_construction():
