@@ -13,7 +13,9 @@ never built: below the top level m a sweep marking is the code's own
 subtrees, so one measure.ShapeTable per probe gives each level-m subtree its
 shape id once per block, a sweep step climbs only its top strings to the
 root, and the binary search compares the root's ring vector with the target
-exactly.
+exactly.  The ambient below m is not grown either: its state quotient
+gives every top string of one (state, length) class one shape, and
+PiecewiseCode.value values thinning's codes the same way.
 
 Everything else is built from that engine.  Thinning forces every length-n
 branch down to its baseline weight by re-interpolating the fat ones, the
@@ -31,13 +33,14 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .core import BudgetExceeded, CgmtError, check_bits, compatible
-from .measure import MeasureBracket, PreconditionMeasure, ShapeTable, htilde
+from .measure import MeasureBracket, PreconditionMeasure, ShapeTable, code_htilde, htilde
 from .trees import (
     BlockMarking,
     NotExtendible,
     TreeSource,
     grow,
     leftmost_extension_path,
+    quotient_of_source,
 )
 from .weights import AlgebraicWeight, as_weight, cylinder_weight
 
@@ -126,15 +129,28 @@ class PiecewiseCode:
         # the explicit part plus a tail grown from its top level
         return BlockMarking.derived(block, levels)
 
+    def value(self, block: int, s, n: int, budget: Optional[int] = None) -> AlgebraicWeight:
+        """htilde's value of marking(block), its tail weighed from the source's states, not grown."""
+        explicit = self._levels[: min(block, self.live_depth) + 1]
+        return code_htilde(self.source, explicit, s, n, block, budget)
+
     def restricted(self, tau: str) -> "PiecewiseCode":
-        """Marks compatible with tau, as a code over the restricted ambient."""
+        """Marks compatible with tau, as a code over the restricted ambient.
+
+        The restricted ambient keeps the source's states.  Its members
+        shorter than tau are tau's prefixes, one per length, so the state
+        contract holds there trivially; from |tau| on its subtrees are the
+        source's own, so equal states still mean equal subtrees.
+        """
         # the explicit part, a tree grown from source
         explicit = BlockMarking.derived(self.live_depth, tuple(self._levels[: self.live_depth + 1]))
         member = self.source.member
         if len(tau) > self.live_depth:
             # a tail string can leave tau only while tau is longer than the top
             member = lambda s, _t=tau, _m=member: compatible(s, _t) and _m(s)
-        src = TreeSource(member=member, name=f"{self.source.name}|{tau or 'root'}")
+        src = TreeSource(
+            member=member, name=f"{self.source.name}|{tau or 'root'}", state=self.source.state
+        )
         # this code's marks compatible with tau: members of src, parents kept
         return PiecewiseCode(src, self.live_depth, explicit.restrict(tau).levels)
 
@@ -239,13 +255,9 @@ def _interpolate_above_zero(
     while not (cylinder_weight(s, probe_block) * spread < half):
         probe_block += 1
     deep = probe_block + window
-    value = htilde(zc.marking(deep, budget), s, n, want_witness=False).value
+    value = zc.value(deep, s, n, budget)
     if value.is_zero():
-        marking = zc.marking(deep + window, budget)
-        values = tuple(
-            (k, htilde(marking.cut(k), s, n, want_witness=False).value)
-            for k in range(deep, deep + window + 1)
-        )
+        values = tuple((k, zc.value(k, s, n, budget)) for k in range(deep, deep + window + 1))
         zero = AlgebraicWeight.zero()
         bracket = MeasureBracket(zero, zero, deep + window, deep)
         return InterpolationResult(zc, bracket, deep, 0, values)
@@ -268,9 +280,16 @@ def _probe(
 ) -> Optional[InterpolationResult]:
     """Run the restore sweep with its top at level m; None if no index lands.
 
-    One search for the window carries the largest index across its blocks."""
+    The code is grown through m only; below it, each top string's subtree
+    gets its shape id at each window block from the ambient's state
+    quotient, whose budget counts the strings the classes stand for, as
+    growing them would.  One search for the window carries the largest
+    index across its blocks.
+    """
     deep = m + window
-    big = zc.marking(deep, budget)
+    big = zc.marking(m, budget)
+    # the ambient below the top through deep, one class per (state, length)
+    quotient = quotient_of_source(zc.source, deep, budget, big.levels)
     z_top = big.levels[m]
     if not z_top:
         raise PreconditionMeasure(f"the ambient tree dies before level {m}")
@@ -285,13 +304,10 @@ def _probe(
     total = len(removed)
     table = ShapeTable(s, n, deep)
     ring = table.ring
-    # per block, the shape id of each level-m subtree of big that reaches it;
-    # a sweep marking's levels below m are big's under its top, so these ids
-    # do not depend on the sweep index
-    below = {
-        block: table.climb(dict.fromkeys(big.levels[block], table.leaf(block)), block, m)
-        for block in range(m, deep + 1)
-    }
+    # per block, the shape id of each level-m subtree of the code that reaches
+    # it; a sweep marking's levels below m are the code's under its top, so
+    # these ids do not depend on the sweep index
+    below = {block: table.tail(quotient, block) for block in range(m, deep + 1)}
     roots: dict[tuple[int, int], int] = {}
 
     def top_at(i: int) -> list[str]:
@@ -415,9 +431,7 @@ def thinify(
         start = max(nu, current.live_depth, n + 1)
         check_block = start + window
         restricted = current.restricted(tau)
-        value = htilde(
-            restricted.marking(check_block, budget), s_frac, n + 1, want_witness=False
-        ).value
+        value = restricted.value(check_block, s_frac, n + 1, budget)
         if value <= threshold:
             reports.append(BranchReport(tau, True, value, check_block))
             continue
@@ -441,7 +455,7 @@ def thinify(
         )
 
     deep = current.live_depth + window
-    floor_value = htilde(current.marking(deep, budget), s_frac, n0, want_witness=False).value
+    floor_value = current.value(deep, s_frac, n0, budget)
     if floor_value < c_w:
         raise PreconditionMeasure(f"thinning lost the certified floor at block {deep}")
     certificate = ThinningCertificate(
@@ -747,19 +761,21 @@ def lebesgue_path(
     for k in range(depth):
         step = None
         for m in range(k + 1, cap + 1):
-            outside = counts("", m) - counts(path, m)
+            # m > len(path), so the cylinder's count is its children's
+            kids = (counts(path + "0", m), counts(path + "1", m))
+            outside = counts("", m) - kids[0] - kids[1]
             bound = c.numerator << m
             for i in (0, 1):
-                if (counts(path + str(i), m) + outside) * c.denominator < bound:
-                    step = (m, str(1 - i))
+                if (kids[i] + outside) * c.denominator < bound:
+                    step = (str(1 - i), kids[1 - i])
                     break
             if step is not None:
                 break
         if step is None:
             raise PromiseViolated(cap)
-        m, bit = step
+        bit, mass = step
         path += bit
-        if counts(path, m) == 0:
+        if mass == 0:
             # the qualifying side carries no mass, so the promise was false
             raise PromiseViolated(cap)
     return path

@@ -455,7 +455,8 @@ def _check_deficit_min(g: GadgetInstance, depth: int) -> tuple[tuple[int, bool, 
     unflipped = g.evaluator(ones)
     for n in range(g.table.horizon):
         flipped = ones[:n] + "0" + ones[n + 1 :]
-        same = (unflipped - g.evaluator(flipped)).is_zero()
+        # weights are canonical: equal iff their coefficients are, with no arithmetic
+        same = g.evaluator(flipped) == unflipped
         rows.append((n, same, g.table.witness(n) is not None))
     return tuple(rows)
 

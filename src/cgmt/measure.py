@@ -24,7 +24,10 @@ members of one length with equal states have equal subtrees, so one
 representative per (state, length) class stands for all of them, and the
 classes are interned in the same table as htilde's strings.  A tree whose
 source names states is never enumerated; a source without states is its
-own quotient, one class per member.
+own quotient, one class per member.  code_htilde values a code of
+cgmt.construct the same way: its explicit levels climb as htilde's do,
+and the ambient tail below them is weighed on the quotient grown from the
+explicit top level.
 
 htilde_bruteforce enumerates every cover literally ("cover here or delegate
 to both children") and exists only to check htilde against an independent
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import BudgetExceeded, CgmtError
 from .trees import (
@@ -225,6 +228,27 @@ class ShapeTable:
                 ids[sigma] = shape(*key) if got is None else got
         return ids
 
+    def tail(self, quotient: StateQuotient, block: int) -> dict[str, int]:
+        """Shape ids of the quotient's start-level members whose subtrees reach block.
+
+        Each class is interned once per length on the way up from the
+        block, so a member's id is its class's; block is at least the
+        quotient's start and at most its depth.
+        """
+        start = quotient.start
+        # class number -> shape id, -1 for a class with no descendant at the block
+        shape = [self.leaf(block)] * len(quotient.multiplicity[block - start])
+        for i in range(block - start - 1, -1, -1):
+            level_shape = []
+            for zero, one in quotient.kids[i]:
+                left = shape[zero] if zero >= 0 else -1
+                right = shape[one] if one >= 0 else -1
+                level_shape.append(
+                    -1 if left < 0 and right < 0 else self.shape(start + i, left, right)
+                )
+            shape = level_shape
+        return {t: shape[k] for t, k in quotient.classes.items() if shape[k] >= 0}
+
     def vector(self, root: int) -> tuple[int, ...]:
         """The value of a shape id as the ring's int vector; -1 (nothing at the block) is 0."""
         return self.values[root] if root >= 0 else (0,) * self.ring.q
@@ -273,27 +297,48 @@ def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> Measu
     return _value(table, root, n, m, want_witness)
 
 
-def _quotient_htilde(quotient: StateQuotient, s: Fraction, n: int, m: int) -> MeasureValue:
-    """htilde of the tree's marking through block m, from its state quotient.
+def _quotient_htilde(
+    quotient: StateQuotient, s: Fraction, n: int, m: int, want_witness: bool = True
+) -> MeasureValue:
+    """htilde through block m of a tree given by its state quotient.
 
-    The classes with a descendant at the block get shape ids as htilde's
-    strings do, so the value and the witness are htilde's.
+    The tree is the quotient's start-level members, their prefixes, and
+    the members below them that the quotient stands for.  Its classes get
+    shape ids as htilde's strings do, and the start level climbs to the
+    root as htilde's top level does, so the value and the witness are
+    htilde's on the grown marking.
     """
     if m < n:
         return _case2(s, n, m)
     table = ShapeTable(s, n, m)
-    # class number -> shape id, -1 for a class with no descendant at the block
-    shape = [table.leaf(m)] * len(quotient.multiplicity[m])
-    if not shape:
+    root = table.climb(table.tail(quotient, m), quotient.start).get("", -1)
+    if root < 0:
         return _empty(n, m)
-    for length in range(m - 1, -1, -1):
-        level_shape = []
-        for zero, one in quotient.kids[length]:
-            left = shape[zero] if zero >= 0 else -1
-            right = shape[one] if one >= 0 else -1
-            level_shape.append(-1 if left < 0 and right < 0 else table.shape(length, left, right))
-        shape = level_shape
-    return _value(table, shape[0], n, m, want_witness=True)
+    return _value(table, root, n, m, want_witness)
+
+
+def code_htilde(
+    src: TreeSource,
+    levels: Sequence[frozenset[str]],
+    s,
+    n: int,
+    block: int,
+    budget: Optional[int] = None,
+) -> AlgebraicWeight:
+    """htilde's value at block of a code: explicit levels, then src's tree below them.
+
+    levels are the code's levels 0..L, L <= block, grown from src; the
+    strings below length L are those src grows from the last level.  They
+    are never grown: the tail is weighed on src's state quotient from
+    length L, one representative per (state, length) class (one per string
+    without states).  budget bounds the strings the code holds through
+    block, as growing them would: the explicit ones plus the classes'
+    multiplicities.
+    """
+    s = _exponent(s)
+    _check_granularity(n)
+    quotient = quotient_of_source(src, block, budget, levels)
+    return _quotient_htilde(quotient, s, n, block, want_witness=False).value
 
 
 # -- independent brute-force oracle ---------------------------------------------

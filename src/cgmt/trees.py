@@ -10,9 +10,10 @@ shape is checked, for certificates and explicit specs alike; it names the
 least offending mark, so its errors do not depend on set order.  grow is
 the one place levels are grown out of a membership oracle; what it grows
 is a tree by construction and is not checked again.  quotient_of_source
-grows one representative per (state, length) class instead; without
-states, every member is a class.  TreeSource.pruned is the one pruned
-ambient: the nodes on an infinite path.
+grows one representative per (state, length) class instead, from the
+root or from the top level of a tree already grown; without states,
+every member is a class.  TreeSource.pruned is the one pruned ambient:
+the nodes on an infinite path.
 
 A subset inside an ambient tree is a BlockMarking too: its conditions are
 a tree shape (the constructor), membership of every mark in the ambient
@@ -25,7 +26,7 @@ that dies below its block is still a finite tree, and its values say so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .core import BudgetExceeded, CgmtError, check_bits, compatible
 
@@ -79,6 +80,9 @@ class TreeSource:
     tree), so value-level work can weigh one string per (state, length)
     class.  Like extension_count, state is presentation data at the value
     level: it never consults extendible.  It is asked only about members.
+    pruned keeps state: members of one length with equal states have equal
+    subtrees, so the same nodes of those subtrees lie on infinite paths and
+    the pruned subtrees are equal too.
     """
 
     member: Callable[[str], bool]
@@ -93,9 +97,11 @@ class TreeSource:
         return self.extendible
 
     def pruned(self) -> "TreeSource":
-        """The nodes on an infinite path, with extendibility as both oracles."""
+        """The nodes on an infinite path, with extendibility as both oracles and the same states."""
         extendible = self.require_extendible()
-        return TreeSource(member=extendible, extendible=extendible, name=f"{self.name}:pruned")
+        return TreeSource(
+            member=extendible, extendible=extendible, name=f"{self.name}:pruned", state=self.state
+        )
 
 
 def full_tree() -> TreeSource:
@@ -215,39 +221,60 @@ def levels_of_source(
 
 @dataclass(frozen=True)
 class StateQuotient:
-    """A tree through a depth, one node per (state, length) class of its members.
+    """A tree from a start length through a depth, one node per (state, length) class.
 
-    kids[L][k] holds, for class k of length L < depth, the class numbers
-    at length L+1 of its two children, -1 for a child that is not a
-    member.  multiplicity[L][k] is the number of members class k stands
-    for; a level with no class is empty.
+    classes maps each member of length start to its class there.  kids[i][k]
+    holds, for class k of length start + i < depth, the class numbers at the
+    next length of its two children, -1 for a child that is not a member.
+    multiplicity[i][k] is the number of members class k stands for; a level
+    with no class is empty.
     """
 
     kids: tuple[tuple[tuple[int, int], ...], ...]
     multiplicity: tuple[tuple[int, ...], ...]
+    start: int
+    classes: dict[str, int]
 
 
 def quotient_of_source(
-    src: TreeSource, depth: int, budget: Optional[int] = None
+    src: TreeSource,
+    depth: int,
+    budget: Optional[int] = None,
+    levels: Optional[Sequence[frozenset[str]]] = None,
 ) -> StateQuotient:
-    """The state quotient of src through depth, asking only member and state.
+    """The state quotient of src below a tree's last level through depth.
 
-    Each class keeps the first member found as its representative, and only
-    a representative's children are asked about: by the state contract the
-    children of every member of the class fall in the same classes.  The
-    count of members held through depth, root included, is the sum of the
-    multiplicities, the same count grow reaches; it is checked against the
-    budget as each level is added.  A source without states is its own
-    quotient: each member is the state of itself, a class of one.
+    levels are the levels 0..start of a tree grown from src, start <= depth;
+    by default the root alone, if it is a member.  The members of length
+    start are grouped by state, and below them only member and state are
+    asked.  Each class keeps the first member found as its representative,
+    and only a representative's children are asked about: by the state
+    contract the children of every member of the class fall in the same
+    classes.  The count of strings held through depth, root included, is
+    the strings of levels plus the multiplicities below them, the same count
+    grow reaches; it is checked against the budget as each level is added.
+    A source without states is its own quotient: each member is the state
+    of itself, a class of one.
     """
     member, state = src.member, src.state or (lambda s: s)
-    reps = [""] if member("") else []
-    mult = [1] * len(reps)
-    held = len(reps)
+    if levels is None:
+        levels = (frozenset({""} if member("") else ()),)
+    held = sum(map(len, levels))
     _check_budget(held, budget, depth)
+    start = len(levels) - 1
+    classes: dict[str, int] = {}
+    ids: dict[Hashable, int] = {}
+    reps: list[str] = []
+    mult: list[int] = []
+    for t in levels[-1]:
+        k = classes[t] = ids.setdefault(state(t), len(reps))
+        if k == len(reps):
+            reps.append(t)
+            mult.append(0)
+        mult[k] += 1
     kids, multiplicity = [], [tuple(mult)]
-    for _ in range(depth):
-        ids: dict[Hashable, int] = {}
+    for _ in range(depth - start):
+        ids = {}
         next_reps: list[str] = []
         next_mult: list[int] = []
         level_kids = []
@@ -268,7 +295,7 @@ def quotient_of_source(
         kids.append(tuple(level_kids))
         multiplicity.append(tuple(next_mult))
         reps, mult = next_reps, next_mult
-    return StateQuotient(tuple(kids), tuple(multiplicity))
+    return StateQuotient(tuple(kids), tuple(multiplicity), start, classes)
 
 
 # -- finite trees ---------------------------------------------------------------

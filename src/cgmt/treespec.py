@@ -173,23 +173,24 @@ def _automatic_source(
     def extendible(sigma: str) -> bool:
         return run(sigma) in live
 
-    # ways[r][q]: the number of length-r continuations from q that stay accepting
+    # ways[r][q]: the number of length-r continuations from q that stay
+    # accepting, 0 from a rejecting q; a row needs only the accepting moves
     ways = [[int(q in accepting) for q in range(states)]]
+    moves = [(r, zero, one) for r, (zero, one) in enumerate(table) if r in accepting]
 
     def paths(q: int, remaining: int) -> int:
         """Exact count of accepting length-remaining runs from q, from a table grown on demand."""
         while len(ways) <= remaining:
             prev = ways[-1]
-            ways.append([
-                prev[zero] + prev[one] if r in accepting else 0
-                for r, (zero, one) in enumerate(table)
-            ])
+            row = [0] * states
+            for r, zero, one in moves:
+                row[r] = prev[zero] + prev[one]
+            ways.append(row)
         return ways[remaining][q]
 
     def count(tau: str, m: int) -> int:
-        if m < len(tau) or not member(tau):
-            return 0
-        return paths(run(tau), m - len(tau))
+        # a non-member's run ends in a rejecting state, whose count is 0
+        return paths(run(tau), m - len(tau)) if m >= len(tau) else 0
 
     # a member's run state fixes its subtree: the state contract holds
     return TreeSource(

@@ -6,6 +6,7 @@ runs that were verified against independent DP recomputation, and pure
 error-path assertions.
 """
 
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -39,8 +40,10 @@ from cgmt.trees import (
     TreeSource,
     dyadic_tree,
     full_tree,
+    grow,
     levels_of_source,
     prefix_closure,
+    quotient_of_source,
     rooted_tree,
 )
 from cgmt.weights import AlgebraicWeight, ScaledRing, cylinder_weight
@@ -466,6 +469,117 @@ def test_every_level_is_grown_under_the_budget(run):
     assert calls["extendible"] == 0
 
 
+# -- codes valued without their tail ------------------------------------------------
+
+# a stateless tree: 14 seeded length-9 strings and their prefixes
+_EXPLICIT_RNG = random.Random("explicit tail")
+EXPLICIT = {
+    "kind": "explicit",
+    "depth": 9,
+    "members": sorted({
+        t[:length]
+        for t in ("".join(_EXPLICIT_RNG.choice("01") for _ in range(9)) for _ in range(14))
+        for length in range(10)
+    }),
+}
+TAIL_SOURCES = {
+    "no-11": lambda: spec_from_obj(NO_11),
+    "even-bits": lambda: spec_from_obj(EVEN_BITS),
+    "full": full_tree,
+    "dyadic(5/8)": lambda: dyadic_tree(5, 3),
+    "explicit": lambda: spec_from_obj(EXPLICIT),
+}
+
+
+def tail_codes(src: TreeSource, rng: random.Random, top: int) -> list:
+    """A code over src with a seeded explicit part through top, and restrictions of it.
+
+    Each tau is a member of length top - 1, top and top + 1 when the tree
+    has one, so the restricted code's explicit part ends below, at and above
+    |tau|.
+    """
+    levels = levels_of_source(src, top + 1)
+    kept = [t for t in sorted(levels[top]) if rng.random() < 0.6] or sorted(levels[top])[:1]
+    # members of src with their prefixes
+    code = PiecewiseCode(src, top, prefix_closure(kept, top))
+    codes = [code]
+    for length in range(max(top - 1, 0), top + 2):
+        if levels[length]:
+            codes.append(code.restricted(rng.choice(sorted(levels[length]))))
+    return codes
+
+
+@pytest.mark.parametrize("pruned", [False, True], ids=["ambient", "pruned"])
+@pytest.mark.parametrize("name", list(TAIL_SOURCES))
+def test_code_values_equal_htilde_on_the_grown_marking(name, pruned):
+    # the tail weighed on the source's state quotient (one class per string
+    # without states) against htilde on the grown marking, at every block
+    # through the explicit top plus 3; the budget counts the same strings
+    rng = random.Random(f"tail {name} {pruned}")
+    src = TAIL_SOURCES[name]()
+    if pruned:
+        src = src.pruned()
+    for top in (0, 2, 4):
+        for code in tail_codes(src, rng, top):
+            for block in range(code.live_depth + 4):
+                held = sum(map(len, code.marking(block).levels))
+                with pytest.raises(BudgetExceeded, match=f"than {held - 1} strings through block {block}$"):
+                    code.value(block, HALF, 1, budget=held - 1)
+                marking = code.marking(block)
+                for s in (Fraction(1, 3), HALF, Fraction(2, 3), 1):
+                    for n in (0, 1, 2):
+                        got = code.value(block, s, n, budget=held)
+                        assert got == htilde(marking, s, n).value, (code, block, s, n)
+
+
+@pytest.mark.parametrize("name", ["no-11", "even-bits", "full", "dyadic(5/8)"])
+def test_pruned_and_restricted_sources_keep_the_state_contract(name):
+    # members of one length with equal states have the same children in equal
+    # states, so the quotient's multiplicities are grow's level sizes
+    base = TAIL_SOURCES[name]()
+    rng = random.Random(f"contract {name}")
+    depth = 9
+    trees = [(base.pruned(), levels_of_source(base.pruned(), 0))]
+    for top in (2, 4):
+        for code in tail_codes(base, rng, top)[1:]:
+            trees.append((code.source, code.marking(top).levels))
+    for src, levels in trees:
+        assert src.state is base.state
+        grown = grow(src.member, list(levels), depth)
+        quotient = quotient_of_source(src, depth, levels=levels)
+        assert [sum(m) for m in quotient.multiplicity] == list(map(len, grown[len(levels) - 1 :]))
+        for level in grown[:-1]:
+            seen = {}
+            for sigma in sorted(level):
+                kids = tuple(
+                    src.state(c) if src.member(c) else None for c in (sigma + "0", sigma + "1")
+                )
+                assert seen.setdefault(src.state(sigma), kids) == kids, (src.name, sigma)
+
+
+def test_probe_asks_nothing_per_tail_string(monkeypatch):
+    # below a probe's top the full tree is one class per level, so a probe
+    # asks about its two children per level, not about |top| * 2^window strings
+    asked = []
+    base = full_tree()
+    src = dataclasses.replace(base, member=lambda s: asked.append(s) or base.member(s))
+    below = []
+    probe = construct._probe
+
+    def counted_probe(zc, n_prime, m, *rest):
+        start = len(asked)
+        try:
+            return probe(zc, n_prime, m, *rest)
+        finally:
+            below.append((m, sum(len(t) > m for t in asked[start:])))
+
+    monkeypatch.setattr(construct, "_probe", counted_probe)
+    window = 3
+    r = interpolate_subset(src, 4, HALF, 1, 1, Fraction(1, 8), window=window)
+    assert len(r.code.top()) >= 16
+    assert below and all(count <= 2 * window for _, count in below), below
+
+
 # -- thinning ---------------------------------------------------------------------
 
 
@@ -624,6 +738,24 @@ def test_lebesgue_false_promise():
     assert info.value.cap == 16
     with pytest.raises(PromiseViolated):
         lebesgue_path(dyadic_tree(3, 2), 1, 8)
+
+
+@pytest.mark.parametrize("src, c", [(dyadic_tree(5, 3), Fraction(5, 8)), (full_tree(), 1)],
+                         ids=["dyadic(5/8)", "full"])
+def test_lebesgue_asks_each_count_once(src, c):
+    # per level tried: the root and the two children; the cylinder's count is
+    # their sum, and the chosen child's count is not asked again
+    asked = []
+
+    def count(tau, m):
+        asked.append((tau, m))
+        return src.extension_count(tau, m)
+
+    path = lebesgue_path(dataclasses.replace(src, extension_count=count), c, 12)
+    assert path == lebesgue_path(src, c, 12)
+    assert len(asked) == len(set(asked))
+    assert all(tau == "" or tau[:-1] == path[: len(tau) - 1] for tau, _ in asked)
+    assert len(asked) == 3 * len({(len(tau), m) for tau, m in asked if tau})
 
 
 def test_lebesgue_enumerated_counts_route():
