@@ -36,6 +36,7 @@ from .weights import MAX_ROOT_ORDER, AlgebraicWeight, as_weight, cap_violation
 from .trees import BlockMarking, CodeViolation, NotExtendible
 from .measure import (
     BRUTEFORCE_MAX_BLOCK,
+    CASE2_WITNESS_CAP,
     DepthTooLarge,
     LengthViolation,
     NotACover,
@@ -175,7 +176,8 @@ _NONNEGATIVE = constant_in(lambda w: w.sign() >= 0, "at least 0")
 # below a shallower block, htilde at granularity n builds 2^((1-s)n); so --n, --n0
 # and thin's --nu take the cap that certificates and besicovitch --stages have.
 # So do the depths of measure (each --blocks value too) and lebesgue-path: both
-# build a list or table per level before any budget is checked
+# build a list or table per level before any budget is checked.  baire's depth
+# takes it too: the leftmost path to it costs time quadratic in the depth
 _STAGE_CAPPED = int_in(0, MAX_STAGES)
 
 
@@ -205,6 +207,10 @@ class _Parser(argparse.ArgumentParser):
 # -- verification harness ---------------------------------------------------------
 
 
+# covers the literal enumeration may visit for one random marking
+COVER_BUDGET = 250_000
+
+
 def random_marking(rng: random.Random, block_max: int, n: int, cover_budget: int) -> BlockMarking:
     """Seeded prefix-closed marking whose enumeration cost fits the budget."""
     while True:
@@ -231,7 +237,6 @@ def run_verify_suite(
     seed: int,
     block_max: int = 6,
     n_max: int = 2,
-    cover_budget: int = 250_000,
 ) -> dict:
     """DP-vs-literal-enumeration comparison on seeded random markings."""
     rng = random.Random(seed)
@@ -240,7 +245,7 @@ def run_verify_suite(
     for trial in range(trials):
         s = dimensions[rng.randrange(len(dimensions))]
         n = rng.randint(0, n_max)
-        marking = random_marking(rng, block_max, n, cover_budget)
+        marking = random_marking(rng, block_max, n, COVER_BUDGET)
         fast = htilde(marking, s, n, want_witness=False).value
         slow = htilde_bruteforce(marking, s, n).value
         if not (fast - slow).is_zero():
@@ -394,6 +399,10 @@ def _load_opens(path: str) -> list[list[str]]:
         isinstance(code, list) and all(isinstance(p, str) for p in code) for code in doc
     ):
         raise ParseError("opens file must hold a list of prefix lists")
+    for k, code in enumerate(doc):
+        for i, p in enumerate(code):
+            if p.strip("01"):
+                raise ParseError(f"opens file: prefix {i} of open {k} is not a binary string")
     return doc
 
 
@@ -545,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub_parser("baire", "extendible string meeting every open code")
     _add_tree(p)
     p.add_argument("--opens", required=True, help="JSON file: list of prefix lists")
-    p.add_argument("--depth", type=int_in(0), required=True)
-    p.add_argument("--start", default="")
+    p.add_argument("--depth", type=_STAGE_CAPPED, required=True)
+    p.add_argument("--start", default="", help="binary string of at most --depth bits")
     p.add_argument("--cap", type=int_in(0), default=1_000_000)
     p.set_defaults(handler=_cmd_baire)
 
@@ -562,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int_in(0), default=200)
     p.add_argument("--block-max", dest="block_max", type=int_in(0, BRUTEFORCE_MAX_BLOCK),
                    default=6)
-    p.add_argument("--n-max", dest="n_max", type=int_in(0), default=2)
+    p.add_argument("--n-max", dest="n_max", type=int_in(0, CASE2_WITNESS_CAP), default=2)
     p.set_defaults(handler=_cmd_verify_suite)
 
     return parser
@@ -583,6 +592,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "besicovitch" and args.stages <= args.n0:
         parser.error(f"--stages must exceed --n0, got {args.stages} <= {args.n0}")
+    if args.command == "baire" and (args.start.strip("01") or len(args.start) > args.depth):
+        parser.error(f"--start must be a binary string of at most --depth bits: {args.start!r}")
     problem = _cap_violation(args)
     if problem is not None:
         parser.error(problem)

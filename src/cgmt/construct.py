@@ -15,25 +15,27 @@ shape id once per block, a sweep step climbs only its top strings to the
 root, and the binary search compares the root's ring vector with the target
 exactly.  The ambient below m is not grown either: its state quotient
 gives every top string of one (state, length) class one shape, and
-PiecewiseCode.value values thinning's codes the same way.
+PiecewiseCode.value values the codes of thinning and the staged pipeline
+the same way.
 
 Everything else is built from that engine.  Thinning forces every length-n
 branch down to its baseline weight by re-interpolating the fat ones, the
 staged extraction pipeline alternates thinning with certificate snapshots
 whose verdicts are recomputable by `htilde`, and the path extractors (Baire
-intersection, dense monotone minimization, unit-dimension mass splitting)
-share the same budgeted, deterministic search style.  All verdicts are exact
-weight comparisons; floating point certifies nothing here.
+intersection, unit-dimension mass splitting) share the same budgeted,
+deterministic search style.  All verdicts are exact weight comparisons;
+floating point certifies nothing here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 from .core import BudgetExceeded, CgmtError, check_bits, compatible
-from .measure import MeasureBracket, PreconditionMeasure, ShapeTable, code_htilde, htilde
+from .measure import MeasureBracket, PreconditionMeasure, ShapeTable, htilde, quotient_htilde
 from .trees import (
     BlockMarking,
     NotExtendible,
@@ -63,7 +65,7 @@ class NoStableIndex(CgmtError):
 
 
 class DensityViolated(CgmtError):
-    """A density promise produced no qualifying extension within the cap."""
+    """No extension through the requested depth met a stage's open within the cap."""
 
     def __init__(self, stage: int, cap: int):
         super().__init__(f"density promise failed at stage {stage} (cap {cap})")
@@ -132,7 +134,10 @@ class PiecewiseCode:
     def value(self, block: int, s, n: int, budget: Optional[int] = None) -> AlgebraicWeight:
         """htilde's value of marking(block), its tail weighed from the source's states, not grown."""
         explicit = self._levels[: min(block, self.live_depth) + 1]
-        return code_htilde(self.source, explicit, s, n, block, budget)
+        # budget bounds the explicit strings plus the classes' multiplicities,
+        # the strings that growing the tail would hold
+        quotient = quotient_of_source(self.source, block, budget, explicit)
+        return quotient_htilde(quotient, s, n, block, want_witness=False).value
 
     def restricted(self, tau: str) -> "PiecewiseCode":
         """Marks compatible with tau, as a code over the restricted ambient.
@@ -559,9 +564,7 @@ def besicovitch_extract(
             raise BudgetExceeded(f"stage {n}: {exc}") from exc
         witness_block = current.live_depth
         deep = thin_cert.floor_block
-        upper = htilde(
-            current.marking(witness_block, budget), s_frac, n + 1, want_witness=False
-        ).value
+        upper = current.value(witness_block, s_frac, n + 1, budget)
         target = c_w + AlgebraicWeight.two_power(-(n + 1))
         if not upper < target:
             raise CgmtError(f"stage {n + 1} upper verdict failed to close")
@@ -586,49 +589,10 @@ def besicovitch_extract(
 # -- category and path extraction ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonotoneFn:
-    """Pure callback, non-increasing under extension (spot-checked)."""
-
-    eval: Callable[[str], AlgebraicWeight]
-    name: str = "f"
-
-
-@dataclass(frozen=True)
-class DensityTarget:
-    """Infimum target alpha with a strictly decreasing tolerance schedule."""
-
-    alpha: AlgebraicWeight
-    schedule: tuple[AlgebraicWeight, ...]
-
-    def __post_init__(self) -> None:
-        for eps in self.schedule:
-            if eps.sign() <= 0:
-                raise CgmtError("tolerances must be positive")
-        for a, b in zip(self.schedule, self.schedule[1:]):
-            if not b < a:
-                raise CgmtError("tolerances must decrease strictly")
-
-    @staticmethod
-    def geometric(alpha, stages: int) -> "DensityTarget":
-        return DensityTarget(
-            as_weight(alpha),
-            tuple(AlgebraicWeight.two_power(-j) for j in range(stages)),
-        )
-
-
-@dataclass(frozen=True)
-class DensityCertificate:
-    alpha: AlgebraicWeight
-    records: tuple[tuple[int, AlgebraicWeight, str, AlgebraicWeight], ...]
-
-
-def _extensions(stem: str, extendible: Callable[[str], bool], include_stem: bool):
-    """Extendible extensions of stem in length-lex order."""
-    if include_stem:
-        yield stem
+def _extensions(stem: str, extendible: Callable[[str], bool], depth: int):
+    """Extendible proper extensions of stem through length depth, in length-lex order."""
     frontier = [stem]
-    while frontier:
+    while frontier and len(frontier[0]) < depth:
         grown = []
         for parent in frontier:
             for child in (parent + "0", parent + "1"):
@@ -636,16 +600,6 @@ def _extensions(stem: str, extendible: Callable[[str], bool], include_stem: bool
                     yield child
                     grown.append(child)
         frontier = grown
-
-
-def _first_extension(stem: str, extendible, accepts, include_stem: bool, stage: int, cap: int):
-    """The first of stem's _extensions that accepts takes; at most cap are tested."""
-    for tested, candidate in enumerate(_extensions(stem, extendible, include_stem), 1):
-        if tested > cap:
-            break
-        if accepts(candidate):
-            return candidate
-    raise DensityViolated(stage, cap)
 
 
 def baire_intersect(
@@ -659,70 +613,24 @@ def baire_intersect(
 
     Each open is an upward-closed membership callback.  Stages that already
     hold at the current stem cost nothing; otherwise proper extensions are
-    searched in length-lex order, testing at most cap candidates.
+    searched in length-lex order through length depth, since a longer stem
+    cannot start the depth-long path, testing at most cap candidates.
     """
     check_bits(start)
+    if len(start) > depth:
+        raise CgmtError(f"start {start!r} is longer than the requested depth {depth}")
     extendible = src.require_extendible()
     if not extendible(start):
         raise NotExtendible(f"start {start!r} is not on an infinite branch")
     stem = start
     for stage, accepts in enumerate(opens):
-        if not accepts(stem):
-            stem = _first_extension(stem, extendible, accepts, False, stage, cap)
-    if len(stem) > depth:
-        raise CgmtError(f"constructed stem is longer than the requested depth {depth}")
+        if accepts(stem):
+            continue
+        candidates = islice(_extensions(stem, extendible, depth), cap)
+        stem = next((t for t in candidates if accepts(t)), None)
+        if stem is None:
+            raise DensityViolated(stage, cap)
     return leftmost_extension_path(src, stem, depth)
-
-
-def dense_monotone_min(
-    src: TreeSource,
-    f: MonotoneFn,
-    target: DensityTarget,
-    density: Optional[Callable[[str, AlgebraicWeight], str]] = None,
-    depth: int = 16,
-    cap: int = DEFAULT_SEARCH_BUDGET,
-) -> tuple[str, DensityCertificate]:
-    """Drive f below alpha + eps_n along one extendible path.
-
-    With a density callback, each stage asks it for an extension and then
-    verifies the answer exactly; without one, extensions are searched in
-    length-lex order under the cap.  Records one (stage, eps, prefix, value)
-    row per stage.
-    """
-    extendible = src.require_extendible()
-    if not extendible(""):
-        raise NotExtendible(f"{src.name}: no infinite branch at the root")
-    stem = ""
-    previous: Optional[AlgebraicWeight] = None
-    records = []
-    for stage, eps in enumerate(target.schedule):
-        bound = target.alpha + eps
-        found = None
-        if density is not None:
-            answer = density(stem, eps)
-            if (
-                isinstance(answer, str)
-                and not answer.strip("01")
-                and answer.startswith(stem)
-                and extendible(answer)
-            ):
-                value = as_weight(f.eval(answer))
-                if value < bound:
-                    found = (answer, value)
-            if found is None:
-                raise DensityViolated(stage, 0)
-        else:
-            answer = _first_extension(
-                stem, extendible, lambda t: as_weight(f.eval(t)) < bound, True, stage, cap
-            )
-            found = (answer, as_weight(f.eval(answer)))
-        stem, value = found
-        if previous is not None and not value <= previous:
-            raise CgmtError("callback value increased along the chain; not monotone")
-        previous = value
-        records.append((stage, eps, stem, value))
-    path = leftmost_extension_path(src, stem, max(depth, len(stem)))
-    return path, DensityCertificate(alpha=target.alpha, records=tuple(records))
 
 
 def lebesgue_path(

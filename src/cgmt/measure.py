@@ -24,10 +24,10 @@ members of one length with equal states have equal subtrees, so one
 representative per (state, length) class stands for all of them, and the
 classes are interned in the same table as htilde's strings.  A tree whose
 source names states is never enumerated; a source without states is its
-own quotient, one class per member.  code_htilde values a code of
-cgmt.construct the same way: its explicit levels climb as htilde's do,
-and the ambient tail below them is weighed on the quotient grown from the
-explicit top level.
+own quotient, one class per member.  cgmt.construct values its codes
+with the same quotient_htilde: a code's explicit levels climb as htilde's
+do, and the ambient tail below them is weighed on the quotient grown from
+the explicit top level.
 
 htilde_bruteforce enumerates every cover literally ("cover here or delegate
 to both children") and exists only to check htilde against an independent
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import BudgetExceeded, CgmtError
 from .trees import (
@@ -297,8 +297,8 @@ def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> Measu
     return _value(table, root, n, m, want_witness)
 
 
-def _quotient_htilde(
-    quotient: StateQuotient, s: Fraction, n: int, m: int, want_witness: bool = True
+def quotient_htilde(
+    quotient: StateQuotient, s, n: int, m: int, want_witness: bool = True
 ) -> MeasureValue:
     """htilde through block m of a tree given by its state quotient.
 
@@ -308,6 +308,8 @@ def _quotient_htilde(
     root as htilde's top level does, so the value and the witness are
     htilde's on the grown marking.
     """
+    s = _exponent(s)
+    _check_granularity(n)
     if m < n:
         return _case2(s, n, m)
     table = ShapeTable(s, n, m)
@@ -315,30 +317,6 @@ def _quotient_htilde(
     if root < 0:
         return _empty(n, m)
     return _value(table, root, n, m, want_witness)
-
-
-def code_htilde(
-    src: TreeSource,
-    levels: Sequence[frozenset[str]],
-    s,
-    n: int,
-    block: int,
-    budget: Optional[int] = None,
-) -> AlgebraicWeight:
-    """htilde's value at block of a code: explicit levels, then src's tree below them.
-
-    levels are the code's levels 0..L, L <= block, grown from src; the
-    strings below length L are those src grows from the last level.  They
-    are never grown: the tail is weighed on src's state quotient from
-    length L, one representative per (state, length) class (one per string
-    without states).  budget bounds the strings the code holds through
-    block, as growing them would: the explicit ones plus the classes'
-    multiplicities.
-    """
-    s = _exponent(s)
-    _check_granularity(n)
-    quotient = quotient_of_source(src, block, budget, levels)
-    return _quotient_htilde(quotient, s, n, block, want_witness=False).value
 
 
 # -- independent brute-force oracle ---------------------------------------------
@@ -455,7 +433,5 @@ def measure_sequence(
         raise CgmtError("blocks must be strictly increasing")
     if not blocks:
         return []
-    s = _exponent(s)
-    _check_granularity(n)
     quotient = quotient_of_source(src, max(blocks), budget)
-    return [_quotient_htilde(quotient, s, n, b) for b in blocks]
+    return [quotient_htilde(quotient, s, n, b) for b in blocks]

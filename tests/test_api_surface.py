@@ -23,10 +23,6 @@ ALLOWED = {
     # reference routes: independent of the code they check, so no command calls them
     "verify_marking_cover",
     "decode_range_via_baire",
-    # the monotone-BCTC claim of the abstract, documented in the README with
-    # no command yet
-    "dense_monotone_min",
-    "geometric",
 }
 
 

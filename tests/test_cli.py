@@ -583,6 +583,17 @@ class TestCliExitCodes:
         code, _, err = run_cli(capsys, "baire", "--tree", "full", "--opens", str(opens),
                                "--depth", "8", "--cap", "500")
         assert code == EXIT_DENSITY
+        # the one-path tree never meets the open: the search stops at --depth,
+        # not at the default cap of a million candidates
+        tree = tmp_path / "one-path.json"
+        tree.write_text(json.dumps({"kind": "automatic", "transitions": [[0, 1], [1, 1]],
+                                    "accepting": [0]}), encoding="utf-8")
+        opens = tmp_path / "opens.json"
+        opens.write_text(json.dumps([["1"]]), encoding="utf-8")
+        code, out, err = run_cli(capsys, "baire", "--tree", str(tree), "--opens", str(opens),
+                                 "--depth", "5")
+        assert code == EXIT_DENSITY and out == ""
+        assert err.startswith("error[6] DensityViolated: ") and "stage 0" in err
 
     def test_promise(self, capsys):
         code, _, err = run_cli(capsys, "lebesgue-path", "--tree", "branch-left",
@@ -767,6 +778,10 @@ class TestCliExitCodes:
         ("verify-suite", "--block-max", "8"),
         ("verify-suite", "--n-max", "-1"),
         ("besicovitch", "--tree", "full", "--s", "1/2", "--c", "1", "--n0", "3", "--stages", "2"),
+        ("baire", "--tree", "full", "--opens", "opens.json", "--depth", "16385"),
+        ("baire", "--tree", "full", "--opens", "opens.json", "--depth", "3", "--start", "2"),
+        ("baire", "--tree", "full", "--opens", "opens.json", "--depth", "3", "--start", "0000"),
+        ("verify-suite", "--n-max", "13"),
     ])
     def test_argument_out_of_range(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -912,8 +927,11 @@ class TestHostileInputFiles:
         (b"\xff\xfe", ("cover-verify", "--certificate", "f")),
         (b"\xff\xfe", ("baire", "--tree", "full", "--opens", "f", "--depth", "3")),
         ("[" + "1" * 5000 + "]", ("cover-verify", "--certificate", "f")),
+        (json.dumps([["0"], ["01", "2" * 5000]]),
+         ("baire", "--tree", "full", "--opens", "f", "--depth", "3")),
     ], ids=["certificate-nested", "opens-nested", "spec-nested", "spec-not-utf8",
-            "certificate-not-utf8", "opens-not-utf8", "certificate-long-integer"])
+            "certificate-not-utf8", "opens-not-utf8", "certificate-long-integer",
+            "opens-not-binary"])
     def test_parse_error(self, capsys, monkeypatch, tmp_path, content, argv):
         monkeypatch.chdir(tmp_path)
         if isinstance(content, bytes):

@@ -18,16 +18,13 @@ from helpers_markings import assert_code_conditions, grown_source, marking_of_so
 from cgmt import construct
 from cgmt.core import BudgetExceeded, CgmtError, compatible
 from cgmt.construct import (
-    DensityTarget,
     DensityViolated,
-    MonotoneFn,
     NoStableIndex,
     PiecewiseCode,
     PromiseViolated,
     approx_subset,
     baire_intersect,
     besicovitch_extract,
-    dense_monotone_min,
     interpolate_subset,
     lebesgue_path,
     thinify,
@@ -532,6 +529,14 @@ def test_code_values_equal_htilde_on_the_grown_marking(name, pruned):
                         assert got == htilde(marking, s, n).value, (code, block, s, n)
 
 
+def test_code_value_checks_the_dimension_and_granularity():
+    code = PiecewiseCode.root_of(full_tree())
+    with pytest.raises(CgmtError, match="granularity"):
+        code.value(2, HALF, -1)
+    with pytest.raises(CgmtError, match="dimension"):
+        code.value(2, -1, 1)
+
+
 @pytest.mark.parametrize("name", ["no-11", "even-bits", "full", "dyadic(5/8)"])
 def test_pruned_and_restricted_sources_keep_the_state_contract(name):
     # members of one length with equal states have the same children in equal
@@ -820,101 +825,20 @@ def test_baire_empty_open_and_dead_start():
         baire_intersect(rooted_tree("0"), [lambda s: True], "1", 6)
 
 
-def test_dense_min_constant_function():
-    f = MonotoneFn(lambda s: W(Fraction(1, 3)))
-    target = DensityTarget.geometric(W(Fraction(1, 3)), 4)
-    path, cert = dense_monotone_min(full_tree(), f, target, depth=12)
-    assert path == "0" * 12
-    assert len(cert.records) == 4
-    assert all(stem == "" for _, _, stem, _ in cert.records)
+ONE_PATH = {"kind": "automatic", "transitions": [[0, 1], [1, 1]], "accepting": [0]}
 
 
-def test_dense_min_measure_instantiation():
-    # driving the restricted cover weight below every 2^{-n} is exactly the
-    # regularity extraction loop, with the callback choosing deeper cylinders
-    root = PiecewiseCode.root_of(full_tree())
-
-    def weight_of(sigma: str) -> AlgebraicWeight:
-        marking = root.restricted(sigma).marking(len(sigma) + 2)
-        return htilde(marking, HALF, 0, want_witness=False).value
-
-    f = MonotoneFn(weight_of, name="restricted-weight")
-    target = DensityTarget.geometric(W(0), 5)
-
-    def density(stem: str, eps: AlgebraicWeight) -> str:
-        candidate = stem + "0"
-        while not weight_of(candidate) < eps:
-            candidate += "0"
-        return candidate
-
-    path, cert = dense_monotone_min(full_tree(), f, target, density=density, depth=24)
-    assert len(path) == 24
-    previous = None
-    for stage, eps, stem, value in cert.records:
-        assert (weight_of(stem) - value).is_zero()
-        assert value < W(0) + eps
-        if previous is not None:
-            assert value <= previous
-        previous = value
-
-
-def test_dense_min_first_one_counterexample():
-    def first_one(s: str) -> AlgebraicWeight:
-        k = s.find("1")
-        return W(1) if k < 0 else W(Fraction(1, 1 << (k + 1)))
-
-    f = MonotoneFn(first_one, name="first-one")
-    target = DensityTarget.geometric(W(0), 6)
+def test_baire_search_stays_within_the_depth():
+    # the one-path tree's only member of each length is 0...0, so no candidate
+    # meets the open: the search asks the start and two children per length
+    # through depth 5, then stops, well short of the cap's 20,000 queries
+    src, calls = counting_source(spec_from_obj(ONE_PATH))
     with pytest.raises(DensityViolated) as info:
-        dense_monotone_min(full_tree(), f, target, depth=12, cap=300)
-    assert info.value.stage == 1
-    assert info.value.cap == 300
-
-
-def test_dense_min_dishonest_callback():
-    f = MonotoneFn(lambda s: W(1))
-    target = DensityTarget.geometric(W(0), 3)
-    with pytest.raises(DensityViolated) as info:
-        dense_monotone_min(full_tree(), f, target, density=lambda stem, eps: stem, depth=8)
+        baire_intersect(src, [lambda s: "1" in s], "", 5, cap=10_000)
     assert info.value.stage == 0
-    with pytest.raises(DensityViolated):
-        dense_monotone_min(
-            rooted_tree("0"),
-            MonotoneFn(lambda s: W(0)),
-            DensityTarget.geometric(W(0), 2),
-            density=lambda stem, eps: "11",
-            depth=8,
-        )
-
-
-def test_dense_min_rejects_a_non_binary_answer():
-    # the full tree's extendibility callback accepts any string, so the
-    # answer's bits are checked with the other answer conditions, at its stage
-    with pytest.raises(DensityViolated) as info:
-        dense_monotone_min(
-            full_tree(),
-            MonotoneFn(lambda s: W(0)),
-            DensityTarget.geometric(W(0), 3),
-            density=lambda stem, eps: stem + "0x0x" if stem else "0",
-            depth=8,
-        )
-    assert info.value.stage == 1
-
-
-def test_dense_min_monotone_chain_guard():
-    f = MonotoneFn(lambda s: W(Fraction(len(s), 8)))
-    target = DensityTarget(alpha=W(1), schedule=(W(1), W(HALF)))
-    with pytest.raises(CgmtError, match="monotone"):
-        dense_monotone_min(
-            full_tree(), f, target, density=lambda stem, eps: stem + "0", depth=8
-        )
-
-
-def test_density_target_validation():
-    with pytest.raises(CgmtError):
-        DensityTarget(alpha=W(0), schedule=(W(1), W(1)))
-    with pytest.raises(CgmtError):
-        DensityTarget(alpha=W(0), schedule=(W(1), W(0)))
+    assert calls["extendible"] <= 11
+    with pytest.raises(CgmtError, match="longer than the requested depth"):
+        baire_intersect(full_tree(), [], "0000", 3)
 
 
 # -- oracle discipline ------------------------------------------------------------
@@ -942,12 +866,6 @@ def test_jump_ops_use_both_oracles_only():
 
     src, calls = counting_source(full_tree())
     baire_intersect(src, [lambda s: "1" in s], "", 6)
-    assert calls["extendible"] > 0
-
-    src, calls = counting_source(full_tree())
-    dense_monotone_min(
-        src, MonotoneFn(lambda s: W(0)), DensityTarget.geometric(W(0), 2), depth=6
-    )
     assert calls["extendible"] > 0
 
     src, calls = counting_source(full_tree())
