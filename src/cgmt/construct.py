@@ -65,12 +65,22 @@ class NoStableIndex(CgmtError):
 
 
 class DensityViolated(CgmtError):
-    """No extension through the requested depth met a stage's open within the cap."""
+    """No extension through the requested depth met a stage's open within the cap.
 
-    def __init__(self, stage: int, cap: int):
-        super().__init__(f"density promise failed at stage {stage} (cap {cap})")
+    The message names the bound that ended the search: the cap, or the
+    depth when fewer than cap extensions exist, with the count tested.
+    """
+
+    def __init__(self, stage: int, cap: int, depth: int, tested: int):
+        if tested < cap:
+            bound = f"depth {depth}, all {tested} extensions tested"
+        else:
+            bound = f"cap {cap}"
+        super().__init__(f"density promise failed at stage {stage} ({bound})")
         self.stage = stage
         self.cap = cap
+        self.depth = depth
+        self.tested = tested
 
 
 class PromiseViolated(CgmtError):
@@ -626,10 +636,13 @@ def baire_intersect(
     for stage, accepts in enumerate(opens):
         if accepts(stem):
             continue
-        candidates = islice(_extensions(stem, extendible, depth), cap)
-        stem = next((t for t in candidates if accepts(t)), None)
-        if stem is None:
-            raise DensityViolated(stage, cap)
+        tested = 0
+        for tested, candidate in enumerate(islice(_extensions(stem, extendible, depth), cap), 1):
+            if accepts(candidate):
+                stem = candidate
+                break
+        else:
+            raise DensityViolated(stage, cap, depth, tested)
     return leftmost_extension_path(src, stem, depth)
 
 
@@ -648,6 +661,12 @@ def lebesgue_path(
     extension counts when available, else from the tree's levels, grown
     under the budget.  The weights are counts over 2^m, so the test is the
     exact integer comparison (child + outside) * den(c) < num(c) * 2^m.
+    With outside = total - cylinder and the cylinder the two children's
+    sum, that is child * den(c) > excess(m) for the child taken, where
+    excess(m) = count("", m) * den(c) - num(c) * 2^m does not depend on the
+    path.  So each level's excess is asked once and kept while m can still
+    be tried; child "1" is tested first and child "0" asked only when "1"
+    does not qualify.
     """
     c = Fraction(c)
     if not 0 < c <= 1:
@@ -666,16 +685,18 @@ def lebesgue_path(
             return sum(1 for t in grow(src.member, levels, m, budget)[m] if t.startswith(tau))
 
     path = ""
+    excess: dict[int, int] = {}  # levels m > len(path) asked so far
     for k in range(depth):
+        excess.pop(k, None)
         step = None
         for m in range(k + 1, cap + 1):
-            # m > len(path), so the cylinder's count is its children's
-            kids = (counts(path + "0", m), counts(path + "1", m))
-            outside = counts("", m) - kids[0] - kids[1]
-            bound = c.numerator << m
-            for i in (0, 1):
-                if (kids[i] + outside) * c.denominator < bound:
-                    step = (str(1 - i), kids[1 - i])
+            if m not in excess:
+                excess[m] = counts("", m) * c.denominator - (c.numerator << m)
+            # (total - mass) * den < num * 2^m: all but this child weighs less than c
+            for bit in "10":
+                mass = counts(path + bit, m)
+                if mass * c.denominator > excess[m]:
+                    step = (bit, mass)
                     break
             if step is not None:
                 break

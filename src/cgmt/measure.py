@@ -429,6 +429,9 @@ def measure_sequence(
     member.  budget bounds the strings held through the deepest block, root
     included: the sum of the classes' multiplicities.
     """
+    # checked before the quotient is built, which can pass the budget first
+    _exponent(s)
+    _check_granularity(n)
     if list(blocks) != sorted(set(blocks)):
         raise CgmtError("blocks must be strictly increasing")
     if not blocks:

@@ -20,7 +20,12 @@ Three kinds are accepted:
               means the run state reaches a cycle that stays accepting
 
 Builtins and automatic specs carry exact closed-form level counts, so
-deep mass computations work without enumeration.
+deep mass computations work without enumeration.  An automatic spec
+grows its count recursion one row (one count per state) per length.  It
+keeps every row only through the longest length asked from a state other
+than the start; beyond that it keeps the start state's counts as one
+column and the last row grown, so a path to depth D holds O(D^2) bits
+whatever the number of states.
 """
 
 from __future__ import annotations
@@ -173,20 +178,34 @@ def _automatic_source(
     def extendible(sigma: str) -> bool:
         return run(sigma) in live
 
-    # ways[r][q]: the number of length-r continuations from q that stay
-    # accepting, 0 from a rejecting q; a row needs only the accepting moves
-    ways = [[int(q in accepting) for q in range(states)]]
-    moves = [(r, zero, one) for r, (zero, one) in enumerate(table) if r in accepting]
+    # Row r holds, for each state q, the number of length-r continuations
+    # from q that stay accepting.  Slot `states` is always 0: a rejecting
+    # state and the slot itself point at it, so a row is one sum per pair.
+    pairs = [table[q] if q in accepting else (states, states) for q in range(states + 1)]
+
+    def step(row: list[int]) -> list[int]:
+        return [row[zero] + row[one] for zero, one in pairs]
+
+    rows = [[int(q in accepting) for q in range(states)] + [0]]  # full rows 0..len(rows)-1
+    column = [rows[0][start]]  # the start state's counts through the front row's length
+    front = rows[0]
 
     def paths(q: int, remaining: int) -> int:
-        """Exact count of accepting length-remaining runs from q, from a table grown on demand."""
-        while len(ways) <= remaining:
-            prev = ways[-1]
-            row = [0] * states
-            for r, zero, one in moves:
-                row[r] = prev[zero] + prev[one]
-            ways.append(row)
-        return ways[remaining][q]
+        """Exact count of accepting length-remaining runs from q.
+
+        The rows are grown on demand.  Full rows are kept only through the
+        longest length asked from a state other than the start; past it
+        only the start column and the last row grown are kept.
+        """
+        nonlocal front
+        if q == start:
+            while len(column) <= remaining:
+                front = step(front)
+                column.append(front[start])
+            return column[remaining]
+        while len(rows) <= remaining:
+            rows.append(step(rows[-1]))
+        return rows[remaining][q]
 
     def count(tau: str, m: int) -> int:
         # a non-member's run ends in a rejecting state, whose count is 0

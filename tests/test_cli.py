@@ -583,6 +583,7 @@ class TestCliExitCodes:
         code, _, err = run_cli(capsys, "baire", "--tree", "full", "--opens", str(opens),
                                "--depth", "8", "--cap", "500")
         assert code == EXIT_DENSITY
+        assert err == "error[6] DensityViolated: density promise failed at stage 0 (cap 500)\n"
         # the one-path tree never meets the open: the search stops at --depth,
         # not at the default cap of a million candidates
         tree = tmp_path / "one-path.json"
@@ -593,7 +594,8 @@ class TestCliExitCodes:
         code, out, err = run_cli(capsys, "baire", "--tree", str(tree), "--opens", str(opens),
                                  "--depth", "5")
         assert code == EXIT_DENSITY and out == ""
-        assert err.startswith("error[6] DensityViolated: ") and "stage 0" in err
+        assert err == ("error[6] DensityViolated: density promise failed at stage 0 "
+                       "(depth 5, all 5 extensions tested)\n")
 
     def test_promise(self, capsys):
         code, _, err = run_cli(capsys, "lebesgue-path", "--tree", "branch-left",

@@ -9,6 +9,7 @@ error-path assertions.
 import dataclasses
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -748,8 +749,8 @@ def test_lebesgue_false_promise():
 @pytest.mark.parametrize("src, c", [(dyadic_tree(5, 3), Fraction(5, 8)), (full_tree(), 1)],
                          ids=["dyadic(5/8)", "full"])
 def test_lebesgue_asks_each_count_once(src, c):
-    # per level tried: the root and the two children; the cylinder's count is
-    # their sum, and the chosen child's count is not asked again
+    # the root once per level m, whatever the path; per level tried, child "1",
+    # and child "0" only when "1" does not qualify (all but "1" weighs c or more)
     asked = []
 
     def count(tau, m):
@@ -760,7 +761,38 @@ def test_lebesgue_asks_each_count_once(src, c):
     assert path == lebesgue_path(src, c, 12)
     assert len(asked) == len(set(asked))
     assert all(tau == "" or tau[:-1] == path[: len(tau) - 1] for tau, _ in asked)
-    assert len(asked) == 3 * len({(len(tau), m) for tau, m in asked if tau})
+    tried = {(len(tau) - 1, m) for tau, m in asked if tau}
+    expected = {("", m) for _, m in tried}
+    for k, m in tried:
+        expected.add((path[:k] + "1", m))
+        rest = src.extension_count("", m) - src.extension_count(path[:k] + "1", m)
+        if rest * c.denominator >= c.numerator << m:
+            expected.add((path[:k] + "0", m))
+    assert set(asked) == expected
+
+
+# perfbench's seed-1 layered automaton: 21 states, the last one the dead sink, mass 13/32
+LAYERED_SEED1 = {
+    "kind": "automatic",
+    "transitions": [[2, 1], [5, 6], [4, 3], [8, 10], [10, 9], [10, 7], [10, 7], [11, 11],
+                    [13, 11], [14, 12], [11, 20], [20, 16], [18, 17], [18, 15], [17, 20],
+                    [19, 19], [19, 19], [19, 20], [19, 19], [19, 19], [20, 20]],
+    "accepting": list(range(20)),
+}
+
+
+def test_lebesgue_memory_is_linear_in_the_states():
+    # the count rows are kept only as far as a child's remaining length asks;
+    # past that only the start state's column grows (24 MiB while every row was kept)
+    src = spec_from_obj(LAYERED_SEED1)
+    tracemalloc.start()
+    try:
+        path = lebesgue_path(src, Fraction(13, 32), 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path) == 4000 and src.member(path)
+    assert peak < 6 << 20, peak
 
 
 def test_lebesgue_enumerated_counts_route():
@@ -820,7 +852,7 @@ def test_baire_empty_open_and_dead_start():
     with pytest.raises(DensityViolated) as info:
         baire_intersect(full_tree(), [lambda s: False], "", 6, cap=64)
     assert info.value.stage == 0
-    assert info.value.cap == 64
+    assert info.value.cap == info.value.tested == 64
     with pytest.raises(NotExtendible):
         baire_intersect(rooted_tree("0"), [lambda s: True], "1", 6)
 
@@ -836,6 +868,7 @@ def test_baire_search_stays_within_the_depth():
     with pytest.raises(DensityViolated) as info:
         baire_intersect(src, [lambda s: "1" in s], "", 5, cap=10_000)
     assert info.value.stage == 0
+    assert info.value.depth == info.value.tested == 5
     assert calls["extendible"] <= 11
     with pytest.raises(CgmtError, match="longer than the requested depth"):
         baire_intersect(full_tree(), [], "0000", 3)

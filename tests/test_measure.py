@@ -396,6 +396,17 @@ def test_measure_sequence_monotone():
             assert earlier.value >= later.value
 
 
+def test_measure_sequence_checks_its_arguments_before_the_budget():
+    # block 40 of the full tree passes a budget of 100 strings, so the
+    # dimension and the granularity must be checked before the quotient is built
+    with pytest.raises(CgmtError, match="granularity must be nonnegative"):
+        measure_sequence(full_tree(), HALF, -1, [40], budget=100)
+    with pytest.raises(CgmtError, match="dimension must be nonnegative"):
+        measure_sequence(full_tree(), -HALF, 1, [40], budget=100)
+    with pytest.raises(BudgetExceeded):
+        measure_sequence(full_tree(), HALF, 1, [40], budget=100)
+
+
 def test_measure_sequence_checks_one_marking(monkeypatch):
     # the only marking built is the explicit spec's own, checked by the
     # constructor when it is parsed; measure_sequence weighs the quotient and

@@ -14,6 +14,7 @@ from helpers_markings import cyclic_automaton, strings_through
 
 from cgmt import treespec
 from cgmt.core import CgmtError
+from cgmt.trees import grow
 from cgmt.treespec import NotPrefixClosed, spec_from_obj
 
 
@@ -119,6 +120,54 @@ def test_resumed_runs_equal_fresh_runs(monkeypatch, kind, memo_chars):
             assert src.extendible(sigma) == fresh.extendible(sigma), sigma
             m = len(sigma) + rng.randrange(6)
             assert src.extension_count(sigma, m) == fresh.extension_count(sigma, m), (sigma, m)
+
+
+def prefix_closed_automaton(rng: random.Random) -> dict:
+    """Random transitions from state 0; rejecting states only reach rejecting ones.
+
+    Drawn again until level 11 is neither empty nor full.
+    """
+    while True:
+        states = rng.randint(3, 9)
+        rejecting = [q for q in range(1, states) if rng.random() < 0.3]
+        table = [
+            [rng.choice(rejecting) if q in rejecting else rng.randrange(states) for _ in "01"]
+            for q in range(states)
+        ]
+        accepting = [q for q in range(states) if q not in rejecting]
+        spec = {"kind": "automatic", "transitions": table, "accepting": accepting, "start": 0}
+        if 0 < len(grow(FreshWalk(spec).member, [frozenset({""})], 11)[11]) < 1 << 11:
+            return spec
+
+
+@pytest.mark.parametrize("kind", ["layered", "prefix-closed"])
+def test_extension_counts_equal_enumeration_in_any_order(kind):
+    # the count rows grow on demand and only some are kept, so ask in a
+    # shuffled order: lengths jumping back, strings of all lengths (members
+    # or not), deep counts from states other than the start, and on odd
+    # seeds the start state's column grown far before any of them
+    draw = layered_automaton if kind == "layered" else prefix_closed_automaton
+    depth, re_entries = 11, 0
+    for seed in range(8):
+        rng = random.Random(2000 + seed)
+        spec = draw(rng)
+        src = spec_from_obj(spec)
+        fresh = FreshWalk(spec)
+        levels = grow(fresh.member, [frozenset({""})], depth)
+        queries = [(tau, m) for tau in strings_through(5) for m in range(depth + 1)]
+        members = [t for level in levels[1:] for t in level]
+        queries += [(tau, len(tau) + rng.randrange(40, 200)) for tau in rng.sample(members, min(12, len(members)))]
+        rng.shuffle(queries)
+        if seed % 2:
+            queries.insert(0, ("", 300))
+        for tau, m in queries:
+            if m <= depth:
+                want = sum(t.startswith(tau) for t in levels[m])
+            else:
+                want = fresh.extension_count(tau, m)
+            assert src.extension_count(tau, m) == want, (seed, tau, m)
+            re_entries += bool(tau) and fresh.member(tau) and fresh.state(tau) == spec["start"]
+    assert kind == "layered" or re_entries > 0
 
 
 @pytest.mark.parametrize("bad", ["01x", "012", "01 ", "01\n", "0x1", "x"])
