@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import csv
 import json
+from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from typing import Optional
 
@@ -189,8 +190,65 @@ def certificate_from_obj(obj: dict) -> RefinementCertificate:
     return cert
 
 
+_quote = encode_basestring_ascii
+_scalar = json.JSONEncoder(sort_keys=True).encode
+
+
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """json.dumps(doc, sort_keys=True, indent=2) plus a newline, built by one recursive join.
+
+    json itself is not called for the whole document: on Python 3.10 and
+    3.11 it uses its C encoder only without indent, and with indent it
+    walks the document in a pure-Python generator.  Here strings go
+    through the C function json quotes them with, and a list of strings
+    is joined in one call.
+    """
+    return _render(doc, "\n") + "\n"
+
+
+def _render(value, newline: str) -> str:
+    """value as json writes it with indent=2, its lines opened by newline."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = sorted(value.items())
+        return "{" + inner + ("," + inner).join(
+            [f"{_key(k)}: {_render(v, inner)}" for k, v in items]
+        ) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        body = None
+        if isinstance(value[0], str):
+            try:
+                body = ("," + inner).join(map(_quote, value))
+            except TypeError:  # not every item is a string
+                pass
+        if body is None:
+            body = ("," + inner).join([_render(v, inner) for v in value])
+        return "[" + inner + body + newline + "]"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return int.__repr__(value)
+    return _scalar(value)
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: strings quoted, numbers and literals quoted as text."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return _quote(_render(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def render_csv(doc: dict) -> str:

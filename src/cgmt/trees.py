@@ -372,9 +372,17 @@ class BlockMarking:
         return BlockMarking.derived(self.block, head + tail)
 
     def to_source(self) -> TreeSource:
-        """Membership to the block; extendible means reaching it."""
-        depth = self.block
-        live = prefix_closure(self.marked_at(depth), depth)
+        """Membership to the block; extendible means reaching it.
+
+        Extendibility is found on demand, by a leftmost descent through the
+        levels that remembers the marks known to reach the block and the
+        marks known not to.  On a tree whose every mark reaches the block a
+        query costs at most block lookups, and all queries together cost at
+        most the marks, each of which is settled once.
+        """
+        depth, levels = self.block, self.levels
+        reach: set[str] = set()  # marks known to reach the block
+        dead: set[str] = set()  # marks known not to
 
         def member(s: str) -> bool:
             check_bits(s)
@@ -382,7 +390,23 @@ class BlockMarking:
 
         def extendible(s: str) -> bool:
             check_bits(s)
-            return len(s) <= depth and s in live[len(s)]
+            if len(s) > depth or s not in levels[len(s)] or s in dead:
+                return False
+            path = [s]  # marks from s down, each a child of the one before
+            while path:
+                top = path[-1]
+                if len(top) == depth or top in reach:
+                    reach.update(path)
+                    return True
+                below = levels[len(top) + 1]
+                for child in (top + "0", top + "1"):
+                    if child in below and child not in dead:
+                        path.append(child)
+                        break
+                else:
+                    dead.add(top)
+                    path.pop()
+            return False
 
         def count(tau: str, m: int) -> int:
             if m < len(tau):

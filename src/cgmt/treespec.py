@@ -9,15 +9,22 @@ Three kinds are accepted:
 
   builtin    {"kind": "builtin", "name": "full" | "branch-left" |
               "branch-right" | "dyadic(p/q)"} with q a power of two
-  explicit   {"kind": "explicit", "depth": D, "members": [...]}, the list
+  explicit   {"kind": "explicit", "depth": D, "members": [...]}, D at most
+              MAX_STAGES (checked before any level is built), the list
               prefix-closed as written (checked by the BlockMarking
-              constructor, which names the least offending member);
-              extendibility means reaching the truncation depth
+              constructor, which names the least offending member; an
+              overlong member is named first in list order); members are
+              grouped by length with one sort, each level a frozenset;
+              extendibility means reaching the truncation depth, found on
+              demand by BlockMarking.to_source
   automatic  {"kind": "automatic", "transitions": [[t0, t1], ...],
               "accepting": [...], "start": 0}, acceptance prefix-closed
               (no accepted string has a rejected prefix; the least
               violation in length-lex order is reported); extendibility
               means the run state reaches a cycle that stays accepting
+
+Every integer field (depth, start, accepting states, transition targets)
+refuses JSON true and false, which Python counts as integers.
 
 Builtins and automatic specs carry exact closed-form level counts, so
 deep mass computations work without enumeration.  An automatic spec
@@ -33,8 +40,10 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
+from .construct import MAX_STAGES
 from .core import ParseError, check_bits, read_input
 from .trees import (
     BlockMarking,
@@ -94,11 +103,13 @@ def _builtin_source(name: str) -> TreeSource:
 
 
 def _explicit_source(members: Sequence[str], depth: int) -> TreeSource:
-    levels: list[set[str]] = [set() for _ in range(depth + 1)]
-    for s in members:
-        if len(s) > depth:
-            raise ParseError(f"member {s!r} longer than depth {depth}")
-        levels[len(s)].add(s)
+    levels = [frozenset()] * (depth + 1)
+    by_length = sorted(members, key=len)
+    if by_length and len(by_length[-1]) > depth:
+        first = next(s for s in members if len(s) > depth)
+        raise ParseError(f"member {first!r} longer than depth {depth}")
+    for length, group in groupby(by_length, key=len):
+        levels[length] = frozenset(group)
     try:
         return BlockMarking(depth, levels).to_source()
     except Condition1Violation as exc:
@@ -120,7 +131,9 @@ def _automatic_source(
         if len(row) != 2:
             raise ParseError(f"state {q} needs exactly two transitions")
         for target in row:
-            if not isinstance(target, int) or not 0 <= target < states:
+            if not _is_int(target):
+                raise ParseError(f"state {q} transition target {target!r} is not an integer")
+            if not 0 <= target < states:
                 raise ParseError(f"state {q} transition target {target!r} out of range")
         table.append((row[0], row[1]))
     for q in accepting:
@@ -255,6 +268,11 @@ def _live_states(table, accepting) -> frozenset[int]:
     return frozenset(live)
 
 
+def _is_int(value) -> bool:
+    # bool is an int subtype, but true and false are not JSON integers
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def spec_from_obj(obj: dict) -> TreeSource:
     """The source a spec document describes; ParseError if it is malformed."""
     if not isinstance(obj, dict):
@@ -268,8 +286,11 @@ def spec_from_obj(obj: dict) -> TreeSource:
     if kind == "explicit":
         depth = obj.get("depth")
         members = obj.get("members")
-        if not isinstance(depth, int) or depth < 0:
+        if not _is_int(depth) or depth < 0:
             raise ParseError(f"explicit spec needs a nonnegative integer depth, got {depth!r}")
+        if depth > MAX_STAGES:
+            # checked before any level is built: a level list per length is the cost
+            raise ParseError(f"explicit spec depth {depth} is past the cap {MAX_STAGES}")
         if not isinstance(members, list) or not all(isinstance(s, str) for s in members):
             raise ParseError("explicit spec needs a list of member strings")
         return _explicit_source(members, depth)
@@ -278,10 +299,10 @@ def spec_from_obj(obj: dict) -> TreeSource:
         accepting = obj.get("accepting")
         if not isinstance(transitions, list) or not all(isinstance(r, list) for r in transitions):
             raise ParseError("automatic spec needs a transition table")
-        if not isinstance(accepting, list) or not all(isinstance(q, int) for q in accepting):
-            raise ParseError("automatic spec needs an accepting state list")
+        if not isinstance(accepting, list) or not all(map(_is_int, accepting)):
+            raise ParseError("automatic spec needs an accepting list of integer states")
         start = obj.get("start", 0)
-        if not isinstance(start, int):
+        if not _is_int(start):
             raise ParseError(f"start must be an integer, got {start!r}")
         return _automatic_source(transitions, frozenset(accepting), start)
     shown = repr(kind) if isinstance(kind, str) else f"of type {type(kind).__name__}"

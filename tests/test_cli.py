@@ -18,6 +18,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers_markings import strings_through
 from test_readme_reports import GOLDEN
@@ -173,6 +175,20 @@ class TestTreeSpecExplicit:
         assert src.extension_count("10", 40) == 0 and src.extension_count("1" * 5, 4) == 0
         assert time.monotonic() - start < 1.0
 
+    def test_depth_cap(self):
+        # the cap of the command-line depths; past it, refused before any level is built
+        src = spec_from_obj({"kind": "explicit", "depth": MAX_STAGES, "members": [""]})
+        assert src.member("") and not src.extendible("")
+        for depth in (MAX_STAGES + 1, 100_000_000, 10**100):
+            with pytest.raises(ParseError) as info:
+                spec_from_obj({"kind": "explicit", "depth": depth, "members": [""]})
+            assert str(info.value) == f"explicit spec depth {depth} is past the cap {MAX_STAGES}"
+
+    def test_depth_refuses_booleans(self):
+        for depth in (True, False):
+            with pytest.raises(ParseError, match="integer depth"):
+                spec_from_obj({"kind": "explicit", "depth": depth, "members": ["", "1"]})
+
 
 class TestTreeSpecAutomatic:
     LEFT = {
@@ -231,6 +247,23 @@ class TestTreeSpecAutomatic:
         with pytest.raises(ParseError, match="accepting state"):
             spec_from_obj({"kind": "automatic", "transitions": [[0, 0]], "accepting": [3]})
 
+    # bool is an int subtype in Python, but true and false are not JSON integers
+    def test_accepting_refuses_booleans(self):
+        with pytest.raises(ParseError, match="accepting list of integer states"):
+            spec_from_obj({"kind": "automatic", "transitions": [[1, 1], [1, 1]],
+                           "accepting": [True, 0]})
+
+    def test_start_refuses_booleans(self):
+        with pytest.raises(ParseError, match="start must be an integer, got False"):
+            spec_from_obj({"kind": "automatic", "transitions": [[0, 0]], "accepting": [0],
+                           "start": False})
+
+    @pytest.mark.parametrize("row, bad", [([True, 1], True), ([1, False], False)])
+    def test_transition_targets_refuse_booleans(self, row, bad):
+        with pytest.raises(ParseError, match=f"state 0 transition target {bad} is not an integer"):
+            spec_from_obj({"kind": "automatic", "transitions": [row, [1, 1]],
+                           "accepting": [0, 1]})
+
 
 class TestTreeSpecFiles:
     def test_file_roundtrip(self, tmp_path):
@@ -277,6 +310,43 @@ class TestTreeSpecFiles:
 
 def self_doc():
     return {"kind": "explicit", "depth": 2, "members": ["", "0", "00", "01"]}
+
+
+# keys and strings with escapes, control characters and non-ASCII text
+_TEXT = st.text(alphabet=st.characters(max_codepoint=0x1F600), max_size=6)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(min_value=-(1 << 200), max_value=1 << 200)
+    | st.floats() | _TEXT
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+        # a list of strings, joined in one call, and one with a non-string after strings
+        | st.lists(_TEXT, min_size=1, max_size=5)
+        | st.tuples(_TEXT, inner).map(list)
+    ),
+    max_leaves=16,
+)
+
+
+def test_render_json_keys_that_are_not_strings():
+    # json quotes number and literal keys as text, and refuses any other key
+    for doc in ({2.5: None, 1: "a", -3: [1]}, {True: 0}, {None: {}}, {float("nan"): 1}):
+        assert render_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for doc in ({(1, 2): 0}, {"a": object()}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            render_json(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DOCS)
+def test_render_json_equals_json_dumps(doc):
+    assert render_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 class TestReportRendering:
@@ -596,6 +666,33 @@ class TestCliExitCodes:
         assert code == EXIT_DENSITY and out == ""
         assert err == ("error[6] DensityViolated: density promise failed at stage 0 "
                        "(depth 5, all 5 extensions tested)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("measure", "--tree", "f", "--s", "1", "--n", "0", "--blocks", "1"),
+        ("baire", "--tree", "f", "--opens", "opens.json", "--depth", "5"),
+    ])
+    def test_explicit_depth_past_the_cap(self, capsys, monkeypatch, tmp_path, argv):
+        # a level list per length would ask for about 20 GB at depth 10^8
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").write_text(json.dumps({"kind": "explicit", "depth": 100_000_000,
+                                                "members": [""]}), encoding="utf-8")
+        (tmp_path / "opens.json").write_text(json.dumps([[""]]), encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"error[3] ParseError: explicit spec depth 100000000 is past the cap {MAX_STAGES}\n"
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "explicit", "depth": True, "members": ["", "1"]},
+        {"kind": "automatic", "transitions": [[0, 0]], "accepting": [True]},
+        {"kind": "automatic", "transitions": [[0, 0]], "accepting": [0], "start": True},
+        {"kind": "automatic", "transitions": [[True, True], [1, 1]], "accepting": [0, 1]},
+    ], ids=["depth", "accepting", "start", "transitions"])
+    def test_boolean_spec_fields(self, capsys, monkeypatch, tmp_path, spec):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run_cli(capsys, "measure", "--tree", "f", "--s", "1", "--n", "0")
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error[3] ParseError: ") and err.count("\n") == 1
 
     def test_promise(self, capsys):
         code, _, err = run_cli(capsys, "lebesgue-path", "--tree", "branch-left",

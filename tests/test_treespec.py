@@ -1,19 +1,25 @@
-"""Automatic specs: runs resumed from a memoized parent equal fresh runs.
+"""Memoized spec oracles answer the same in any order of queries.
 
 An automatic source memoizes the run states of recent strings, so that a
 probe whose parent it has seen costs one transition.  Every answer must
 still equal a walk of the automaton from its start state, whatever the
-order of the queries, and validation must not depend on the memo.
+order of the queries, and validation must not depend on the memo.  An
+explicit source finds extendibility on demand and remembers which marks
+reach its depth; its answers must equal the prefixes of its deepest
+members, and its errors must not depend on the order of the list.
 """
 
+import json
 import random
+import time
 
 import pytest
 
 from helpers_markings import cyclic_automaton, strings_through
 
-from cgmt import treespec
-from cgmt.core import CgmtError
+from cgmt import measure, trees, treespec
+from cgmt.cli import main
+from cgmt.core import CgmtError, ParseError
 from cgmt.trees import grow
 from cgmt.treespec import NotPrefixClosed, spec_from_obj
 
@@ -212,3 +218,108 @@ def test_prefix_closure_witness_is_the_least_violation_by_enumeration():
             with pytest.raises(NotPrefixClosed) as info:
                 spec_from_obj(doc)
             assert info.value.witness == least, (table, accepting)
+
+
+# -- explicit specs ---------------------------------------------------------------
+
+
+def seeded_explicit_tree(rng: random.Random, depth: int) -> set[str]:
+    """A random finite tree through depth with dead branches: each child kept with probability 0.6."""
+    members = {""}
+    frontier = [""]
+    for _ in range(depth):
+        frontier = [p + b for p in frontier for b in "01" if rng.random() < 0.6]
+        members.update(frontier)
+    return members
+
+
+def own_closure(members: set[str], depth: int) -> set[str]:
+    """The prefixes of the members of length depth: the nodes that reach the block."""
+    return {t[:k] for t in members if len(t) == depth for k in range(depth + 1)}
+
+
+def test_explicit_extendibility_in_any_order_equals_own_closure():
+    # shuffled and repeated queries, past the depth and off the tree, so that
+    # answers come from the memo of marks found to reach or not to reach
+    dead_queries = 0
+    for seed in range(40):
+        rng = random.Random(3100 + seed)
+        depth = rng.randint(0, 9)
+        members = seeded_explicit_tree(rng, depth)
+        live = own_closure(members, depth)
+        listed = sorted(members)
+        rng.shuffle(listed)
+        src = spec_from_obj({"kind": "explicit", "depth": depth, "members": listed})
+        queries = list(strings_through(depth + 2)) + rng.choices(sorted(members), k=len(members))
+        rng.shuffle(queries)
+        for sigma in queries:
+            assert src.extendible(sigma) == (sigma in live), (seed, sigma)
+            dead_queries += sigma in members and sigma not in live
+        for bad in ("0x", "2", "01 ", None, ["0"]):
+            with pytest.raises(CgmtError):
+                src.extendible(bad)
+    assert dead_queries > 0
+
+
+def test_explicit_extendibility_on_a_deep_comb_is_linear():
+    # a spine of 2,000 ones, each spine node with a dead 0-child that the
+    # leftmost descent tries first; asked root first, a query that did not
+    # remember the marks found to reach the depth would walk the rest of the
+    # spine again each time
+    depth = 2000
+    spine = ["1" * k for k in range(depth + 1)]
+    teeth = ["1" * k + "0" for k in range(depth - 1)]
+    src = spec_from_obj({"kind": "explicit", "depth": depth, "members": teeth + spine})
+    rest = teeth + ["1" * depth + "1", "0" * 5]
+    random.Random(3200).shuffle(rest)
+    queries = spine + rest
+    live = set(spine)
+    start = time.monotonic()
+    for sigma in queries:
+        assert src.extendible(sigma) == (sigma in live), len(sigma)
+    assert time.monotonic() - start < 2.0
+
+
+def test_explicit_specs_do_not_build_the_prefix_closure(monkeypatch, tmp_path, capsys):
+    # extendibility is found on demand; the brute-force oracle in measure
+    # keeps prefix_closure, so both bindings are patched
+    def refuse(*args, **kwargs):
+        raise AssertionError("prefix_closure called")
+
+    monkeypatch.setattr(trees, "prefix_closure", refuse)
+    monkeypatch.setattr(measure, "prefix_closure", refuse)
+    members = seeded_explicit_tree(random.Random(3303), 8)  # 66 members, 10 of them dead
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"kind": "explicit", "depth": 8, "members": sorted(members)}))
+    src = treespec.parse_spec(str(path))
+    assert src.extendible("") and src.member("")
+    opens = tmp_path / "opens.json"
+    opens.write_text(json.dumps([[""]]))
+    assert main(["baire", "--tree", str(path), "--opens", str(opens), "--depth", "8"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]["path"]) == 8
+
+
+@pytest.mark.parametrize("members, depth, kind, message", [
+    # the first overlong member in list order, not the longest nor the least
+    (["", "0", "111", "0000", "11"], 2, ParseError, "member '111' longer than depth 2"),
+    # the least missing parent: the shortest failing level, then lexicographic order
+    (["", "1", "11", "0100", "10", "001", "1111", "000"], 4, NotPrefixClosed,
+     "not prefix-closed at '000'"),
+    # a non-binary mark before a longer missing parent
+    (["", "0", "1", "0x", "01", "110"], 3, ParseError,
+     "condition (0) violated at '0x': mark is not a binary string of length 2"),
+    # a non-binary mark and a missing parent on one level: the least by string order
+    (["", "1", "11", "1x", "00"], 2, NotPrefixClosed, "not prefix-closed at '00'"),
+    (["", "1", "10", "0y", "1a"], 2, ParseError,
+     "condition (0) violated at '0y': mark is not a binary string of length 2"),
+])
+def test_explicit_errors_do_not_depend_on_list_order(members, depth, kind, message):
+    rng = random.Random(3400)
+    for _ in range(12):
+        with pytest.raises(ParseError) as info:
+            spec_from_obj({"kind": "explicit", "depth": depth, "members": members})
+        assert type(info.value) is kind and str(info.value) == message
+        members = rng.sample(members, len(members))
+        if "longer" in message:
+            first = next(t for t in members if len(t) > depth)
+            message = f"member {first!r} longer than depth {depth}"
