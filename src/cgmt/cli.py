@@ -31,7 +31,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .core import BudgetExceeded, CgmtError, read_input
+from .core import BudgetExceeded, CgmtError, read_input, shown
 from .weights import MAX_ROOT_ORDER, AlgebraicWeight, as_weight, cap_violation
 from .trees import BlockMarking, CodeViolation, NotExtendible
 from .measure import (
@@ -113,22 +113,22 @@ def parse_constant(text: str):
         try:
             return AlgebraicWeight.from_json_obj(json.loads(stripped))
         except json.JSONDecodeError as exc:
-            raise ParseError(f"bad weight object {text!r}: {exc}") from exc
+            raise ParseError(f"bad weight object {shown(text)}: {exc}") from exc
         except RecursionError:
             raise ParseError("bad weight object: nested too deeply") from None
     try:
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational constant {text!r}") from exc
+        raise ParseError(f"bad rational constant {shown(text)}") from exc
 
 
 def parse_dimension(text: str) -> Fraction:
     try:
         s = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad dimension {text!r}") from exc
+        raise ParseError(f"bad dimension {shown(text)}") from exc
     if s <= 0:
-        raise ParseError(f"dimension must be positive, got {s}")
+        raise ParseError(f"dimension must be positive, got {shown(s)}")
     return s
 
 
@@ -142,10 +142,10 @@ def int_in(lo: int, hi: Optional[int] = None):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"not an integer: {shown(text)}") from None
         if value < lo or (hi is not None and value > hi):
             span = f"in {lo}..{hi}" if hi is not None else f"at least {lo}"
-            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {span}, got {shown(value)}")
         return value
 
     return parse
@@ -593,7 +593,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "besicovitch" and args.stages <= args.n0:
         parser.error(f"--stages must exceed --n0, got {args.stages} <= {args.n0}")
     if args.command == "baire" and (args.start.strip("01") or len(args.start) > args.depth):
-        parser.error(f"--start must be a binary string of at most --depth bits: {args.start!r}")
+        parser.error(f"--start must be a binary string of at most --depth bits: {shown(args.start)}")
     problem = _cap_violation(args)
     if problem is not None:
         parser.error(problem)

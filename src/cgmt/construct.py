@@ -8,15 +8,17 @@ values seen along the sweep are monotone in the sweep index.  One search per
 window carries the largest index so far across its blocks, binary-searching
 above it only a block still below target there; that index is re-verified
 exactly on the window before anything is returned.  The top cap, which ends
-the tops tried, is tested only after a top misses.  The sweep's markings are
-never built: below the top level m a sweep marking is the code's own
-subtrees, so one measure.ShapeTable per probe gives each level-m subtree its
-shape id once per block, a sweep step climbs only its top strings to the
-root, and the binary search compares the root's ring vector with the target
-exactly.  The ambient below m is not grown either: its state quotient
-gives every top string of one (state, length) class one shape, and
-PiecewiseCode.value values the codes of thinning and the staged pipeline
-the same way.
+the tops tried, is tested only after a top misses.  Neither the sweep's
+markings nor its level-m tops are built.  In bit-reversed order the top at a
+sweep index is the skeleton plus the strings below a threshold, so each
+node below the level-n_prime roots needs only its state class, its own
+threshold and whether it is on the skeleton: those keys get their shape ids
+from one measure.ShapeTable, a sweep step climbs only the roots to the
+root, and the binary search compares the root's ring vector with the
+target exactly.  The classes come from the ambient's state quotient below
+the roots, grown a level per top tried; only the top that lands is spelled
+out as strings.  PiecewiseCode.value values the codes of thinning and the
+staged pipeline on the same quotient.
 
 Everything else is built from that engine.  Thinning forces every length-n
 branch down to its baseline weight by re-interpolating the fat ones, the
@@ -40,6 +42,7 @@ from .trees import (
     BlockMarking,
     NotExtendible,
     TreeSource,
+    deepen_quotient,
     grow,
     leftmost_extension_path,
     quotient_of_source,
@@ -211,8 +214,12 @@ def interpolate_subset(
     """Refine z above the prefix nu until block values land in [c, c+eps).
 
     The prefix is the code z itself through block nu; it is kept as it is.
-    Values are verified exactly at every block of the verification window;
-    deeper levels of the result delegate to the ambient source.
+    Tops m = nu, nu + 1, ... are tried until one lands (see _probe): the
+    sweep at top m keeps, below each level-nu root, its least level-m
+    string and the level-m strings t with int(t[::-1], 2) below a
+    threshold.  Values are verified exactly at every block of the
+    verification window; deeper levels of the result delegate to the
+    ambient source.
     """
     zc = _as_code(z)
     s = Fraction(s)
@@ -242,8 +249,9 @@ def interpolate_subset(
         raise PreconditionMeasure("the ambient code is dead at the requested prefix")
     bound = c_w + eps_w
     m = n_prime
+    sweep = _Sweep(zc, n_prime, s, n, window, budget)
     while True:
-        found = _probe(zc, n_prime, m, s, n, c_w, eps_w, window, budget)
+        found = _probe(zc, n_prime, m, sweep, c_w, bound)
         if found is not None:
             return found
         # the top cap: the least m whose cylinders are thin enough
@@ -251,6 +259,7 @@ def interpolate_subset(
         if cyl < eps_w and cyl * len(roots) < bound:
             raise NoStableIndex(window)
         m += 1
+        sweep.deepen(m, budget)
 
 
 def _interpolate_above_zero(
@@ -282,93 +291,208 @@ def _interpolate_above_zero(
     )
 
 
+class _Sweep:
+    """What the probes of one interpolation share.
+
+    quotient is the code below its level-n_prime roots, one class per
+    (state, length), through the deepest block of the top being tried; it
+    grows a level per top.  One shape table weighs every probe's shapes.
+    Per block it keeps each class's shape at every length, all of the
+    class's descendants kept, and the shape id of the whole code.  Its
+    ring serves blocks to twice the deepest block of the probe that made
+    it; a deeper probe starts a new table.
+    """
+
+    def __init__(self, zc: PiecewiseCode, n_prime: int, s: Fraction, n: int, window: int, budget):
+        self.source, self.s, self.n, self.window = zc.source, s, n, window
+        self.quotient = quotient_of_source(
+            zc.source, n_prime + window, budget, zc.marking(n_prime).levels
+        )
+        # each root with its class and its bit-reversed value
+        self.roots = [
+            (rho, k, int(rho[::-1], 2) if rho else 0) for rho, k in self.quotient.classes.items()
+        ]
+        self.depth = -1  # the deepest block the table's ring serves
+
+    def deepen(self, m: int, budget) -> None:
+        self.quotient = deepen_quotient(self.source, self.quotient, m + self.window, budget)
+
+    def table(self, deep: int) -> ShapeTable:
+        """The shape table for a probe whose deepest block is deep."""
+        if self.depth < deep:
+            self.depth = 2 * deep
+            self._table = ShapeTable(self.s, self.n, self.depth)
+            self._shapes: dict[int, list[list[int]]] = {}
+            self._whole: dict[int, int] = {}
+        return self._table
+
+    def shapes(self, block: int) -> list[list[int]]:
+        """Each class's shape id at block, per length from the roots' down."""
+        got = self._shapes.get(block)
+        if got is None:
+            got = self._shapes[block] = self._table.class_shapes(self.quotient, block)
+        return got
+
+    def whole(self, block: int) -> int:
+        """The shape id of the whole code at block, -1 if nothing reaches it."""
+        got = self._whole.get(block)
+        if got is None:
+            shapes = self.shapes(block)[0]
+            ids = {rho: shapes[k] for rho, k, _ in self.roots if shapes[k] >= 0}
+            got = self._whole[block] = self._table.climb(ids, self.quotient.start)
+        return got
+
+
 def _probe(
     zc: PiecewiseCode,
     n_prime: int,
     m: int,
-    s: Fraction,
-    n: int,
+    sweep: _Sweep,
     c_w: AlgebraicWeight,
-    eps_w: AlgebraicWeight,
-    window: int,
-    budget: int,
+    bound: AlgebraicWeight,
 ) -> Optional[InterpolationResult]:
     """Run the restore sweep with its top at level m; None if no index lands.
 
-    The code is grown through m only; below it, each top string's subtree
-    gets its shape id at each window block from the ambient's state
-    quotient, whose budget counts the strings the classes stand for, as
-    growing them would.  One search for the window carries the largest
-    index across its blocks.
+    The sweep restores the removed level-m strings t in the order of
+    rev(t) = int(t[::-1], 2), so the top at a sweep index is the skeleton
+    plus {t : rev(t) < r} for a threshold r.  A node sigma of length k
+    keeps the suffixes u with rev(u) < x = ceil((r - rev(sigma)) / 2^k),
+    clipped to [0, 2^(m-k)], and its children keep ceil(x/2) and
+    floor(x/2).  So below the level-n_prime roots a node's shape at a
+    block depends only on its length, its class, x and whether it is on
+    the skeleton, the leftmost descent that takes child "0" iff its class
+    reaches m; each such key is weighed once per block.  A level-m node is
+    kept iff it is on the skeleton or x >= 1, a node with x = 2^(m-k) keeps
+    its class's shape, and below m the shapes are the classes' own.  An
+    evaluation climbs only the roots to the root, and the least r at target
+    restores exactly the least sweep index's strings.  Values only grow
+    with r, so a block at c + eps ends the probe at once.  The landing
+    probe alone spells out its top strings.
     """
-    deep = m + window
-    big = zc.marking(m, budget)
-    # the ambient below the top through deep, one class per (state, length)
-    quotient = quotient_of_source(zc.source, deep, budget, big.levels)
-    z_top = big.levels[m]
-    if not z_top:
+    deep = m + sweep.window
+    top = m - n_prime
+    kids = sweep.quotient.kids
+    if not sweep.quotient.multiplicity[top]:
         raise PreconditionMeasure(f"the ambient tree dies before level {m}")
-    # the least top string below each level-n_prime root, in one pass
-    least: dict[str, str] = {}
-    for t in z_top:
-        rho = t[:n_prime]
-        if rho not in least or t < least[rho]:
-            least[rho] = t
-    skeleton = sorted(least.values())
-    removed = sorted(z_top - set(skeleton), key=lambda t: (int(t[::-1], 2) if t else 0, t))
-    total = len(removed)
-    table = ShapeTable(s, n, deep)
+    table = sweep.table(deep)
     ring = table.ring
-    # per block, the shape id of each level-m subtree of the code that reaches
-    # it; a sweep marking's levels below m are the code's under its top, so
-    # these ids do not depend on the sweep index
-    below = {block: table.tail(quotient, block) for block in range(m, deep + 1)}
-    roots: dict[tuple[int, int], int] = {}
+    plain = {block: sweep.shapes(block) for block in range(m, deep + 1)}
+    reaches = plain[m]  # -1 iff the class has no descendant at level m
+    span = 1 << top
+    # the threshold that restores every removed string; at m = n_prime each
+    # root is its own skeleton and nothing is removed
+    everything = span << n_prime if top else 0
 
-    def top_at(i: int) -> list[str]:
-        return skeleton + removed[:i]
+    def children(key):
+        """The keys (length - n_prime, class, x, on skeleton) of a node's two children.
 
-    def root_at(i: int, block: int) -> int:
-        """Shape id of the sweep marking at index i and block, -1 if it is empty there."""
-        got = roots.get((i, block))
+        None stands for a child that is not a member.
+        """
+        i, k, x, skel = key
+        zero, one = kids[i][k]
+        skel_zero = skel and zero >= 0 and reaches[i + 1][zero] >= 0
+        return (
+            (i + 1, zero, (x + 1) >> 1, skel_zero) if zero >= 0 else None,
+            (i + 1, one, x >> 1, skel and not skel_zero) if one >= 0 else None,
+        )
+
+    memos: dict[int, dict[tuple, int]] = {block: {} for block in plain}
+
+    def known(block: int, key) -> Optional[int]:
+        """Shape id of key at block; None while it is still to be weighed."""
+        i, k, x, skel = key
+        got = plain[block][i][k]
+        if got < 0 or x == span >> i:
+            return got  # nothing at the block, or every level-m descendant kept
+        if not x and not skel:
+            return -1
+        if i == top:
+            return got  # the skeleton string itself
+        return memos[block].get(key)
+
+    def settle(block: int, keys) -> None:
+        """Weigh keys and the nodes below them at block, each key once."""
+        layers = []
+        todo = {key for key in keys if known(block, key) is None}
+        while todo:
+            layers.append(todo)
+            todo = {
+                c for key in todo for c in children(key)
+                if c is not None and known(block, c) is None
+            }
+        memo = memos[block]
+        for layer in reversed(layers):
+            for key in layer:
+                left, right = (-1 if c is None else known(block, c) for c in children(key))
+                memo[key] = (
+                    -1 if left < 0 and right < 0 else table.shape(n_prime + key[0], left, right)
+                )
+
+    def keys_at(r: int) -> dict[str, tuple]:
+        return {
+            rho: (0, k, min(max(-((rv - r) >> n_prime), 0), span), True)
+            for rho, k, rv in sweep.roots
+        }
+
+    climbed: dict[tuple[int, int], int] = {}
+
+    def root_at(r: int, block: int) -> int:
+        """Shape id of the sweep marking at threshold r and block, -1 if it is empty there."""
+        if r == everything:
+            return sweep.whole(block)
+        got = climbed.get((r, block))
         if got is None:
-            live = below[block]
-            ids = {t: live[t] for t in top_at(i) if t in live}
-            got = roots[(i, block)] = table.climb(ids, m).get("", -1)
+            keys = keys_at(r)
+            settle(block, set(keys.values()))
+            ids = {rho: known(block, key) for rho, key in keys.items()}
+            ids = {rho: k for rho, k in ids.items() if k >= 0}
+            got = climbed[(r, block)] = table.climb(ids, n_prime)
         return got
 
-    def below_target(i: int, block: int) -> bool:
-        return ring.sign_against(table.vector(root_at(i, block)), c_w) < 0
+    def below(r: int, block: int, target: AlgebraicWeight) -> bool:
+        return ring.sign_against(table.vector(root_at(r, block)), target) < 0
 
-    index = 0
     for block in range(m, deep + 1):
         # the full sweep is the ambient tree itself; below target means the
         # caller's lower-bound promise is false at this depth
-        if below_target(total, block):
+        if below(everything, block, c_w):
             raise PreconditionMeasure(f"ambient block value below the target at block {block}")
-        if below_target(index, block):
-            lo, hi = index + 1, total
+    r = 0
+    for block in range(m, deep + 1):
+        if below(r, block, c_w):
+            lo, hi = r + 1, everything
             while lo < hi:
                 mid = (lo + hi) // 2
-                if below_target(mid, block):
+                if below(mid, block, c_w):
                     lo = mid + 1
                 else:
                     hi = mid
-            index = lo
-
-    window_roots = [(block, root_at(index, block)) for block in range(m, deep + 1)]
-    bound = c_w + eps_w
-    if not all(ring.sign_against(table.vector(root), bound) < 0 for _, root in window_roots):
+            r = lo
+        # values only grow with r: a block at the bound now stays there
+        if not below(r, block, bound):
+            return None
+    if not all(below(r, block, bound) for block in range(m, deep + 1)):
         return None
-    window_values = tuple((block, table.weight(root)) for block, root in window_roots)
-    top = frozenset(top_at(index))
-    levels = list(big.levels[: n_prime + 1])
-    levels.extend(frozenset(t[:length] for t in top) for length in range(n_prime + 1, m + 1))
-    # levels of big, grown from zc, filtered with every mark's parent kept
+    window_values = tuple((block, table.weight(root_at(r, block))) for block in range(m, deep + 1))
+    # the top at r, spelled out from the roots: a node is kept iff its shape
+    # at block m is, that is iff it has a kept level-m descendant
+    levels = list(zc.marking(n_prime).levels)
+    layer = [(rho, key) for rho, key in keys_at(r).items() if known(m, key) >= 0]
+    for _ in range(top):
+        layer = [
+            (sigma + bit, c)
+            for sigma, key in layer
+            for bit, c in zip("01", children(key))
+            if c is not None and known(m, c) >= 0
+        ]
+        levels.append(frozenset(sigma for sigma, _ in layer))
+    # one skeleton string below each root that reaches m; the rest are restored
+    restored = len(levels[m]) - sum(1 for _, k, _ in sweep.roots if reaches[0][k] >= 0)
+    # levels of zc through n_prime, then the top's prefixes: a subtree of zc
     code = PiecewiseCode(zc.source, m, tuple(levels))
     upper_block, upper = max(window_values, key=lambda kv: (kv[1], kv[0]))
     bracket = MeasureBracket(c_w, upper, deep, upper_block)
-    return InterpolationResult(code, bracket, m, index, window_values)
+    return InterpolationResult(code, bracket, m, restored, window_values)
 
 
 def approx_subset(

@@ -1,7 +1,7 @@
 """Errors, input reading and the small string helpers shared by the package.
 
 Binary strings are plain str values of 0s and 1s; check_bits rejects
-anything else.  pair is the Cantor pairing function and column reads one
+anything else.  shown is how an error message echoes an outside value.  pair is the Cantor pairing function and column reads one
 column of a bit string viewed as a pairing table, which the column-tree
 gadget uses to interleave its columns.
 """
@@ -47,10 +47,24 @@ def read_input(path: str, what: str, parse: Callable[[str], T]) -> T:
         raise ParseError(f"bad {what}: {exc}") from exc
 
 
+def shown(value, limit: int = 120) -> str:
+    """An outside value as an error message echoes it: a string quoted, anything else as str.
+
+    A value (a spec field, a command-line constant) is echoed whole when
+    it is short, a 101-digit depth among them; a longer one keeps its
+    first limit characters and says how long it was, so one bad field
+    cannot make a kilobyte-long error line.
+    """
+    text = repr(value) if isinstance(value, str) else str(value)
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 def check_bits(s: str) -> None:
     """Reject anything that is not a plain 0/1 string."""
     if not isinstance(s, str) or (s and s.strip("01")):
-        raise CgmtError(f"not a binary string: {s!r}")
+        raise CgmtError(f"not a binary string: {shown(s)}")
 
 
 def pair(n: int, m: int) -> int:

@@ -16,8 +16,10 @@ strings are live.  With s fixed and the deepest block known, the sums and
 comparisons run on weights.ScaledRing's int vectors, and only a root value
 becomes an AlgebraicWeight.  The table's climb takes the shape ids of one
 level's strings up to their prefixes, so it walks exactly a top level's
-prefix closure; htilde is one climb from the block to the root, and the
-interpolation sweep of cgmt.construct keeps one table for a whole probe.
+prefix closure; htilde is one climb from the block to the root.  The
+interpolation sweep of cgmt.construct keeps one table for all the tops it
+tries: it interns its threshold nodes' shapes itself and climbs only its
+roots' ids.
 
 measure_sequence weighs a source on its state quotient (TreeSource.state):
 members of one length with equal states have equal subtrees, so one
@@ -27,7 +29,8 @@ source names states is never enumerated; a source without states is its
 own quotient, one class per member.  cgmt.construct values its codes
 with the same quotient_htilde: a code's explicit levels climb as htilde's
 do, and the ambient tail below them is weighed on the quotient grown from
-the explicit top level.
+the explicit top level.  class_shapes gives every class its shape id at
+each length, which is what the sweep reads below its roots.
 
 htilde_bruteforce enumerates every cover literally ("cover here or delegate
 to both children") and exists only to check htilde against an independent
@@ -200,8 +203,8 @@ class ShapeTable:
     def leaf(self, block: int) -> int:
         return self.shape(block, -1, -1)
 
-    def climb(self, ids: dict[str, int], length: int, stop: int = 0) -> dict[str, int]:
-        """Shape ids at length stop of the prefixes of ids' strings, all of the given length.
+    def climb(self, ids: dict[str, int], length: int) -> int:
+        """Shape id of the root above ids' strings, all of the given length; -1 if there are none.
 
         Only prefixes of the given strings appear: a climb from the top
         level of a marking is its prefix closure, one level at a time.
@@ -209,7 +212,7 @@ class ShapeTable:
         # most nodes of a sweep step are already interned: their ids are
         # read straight from the dict, saving a method call per node
         known, shape = self._ids, self.shape
-        for parent_length in range(length - 1, stop - 1, -1):
+        for parent_length in range(length - 1, -1, -1):
             zeros: dict[str, int] = {}
             ones: dict[str, int] = {}
             for sigma, k in ids.items():
@@ -226,18 +229,19 @@ class ShapeTable:
                 key = (parent_length, -1, one)
                 got = known.get(key)
                 ids[sigma] = shape(*key) if got is None else got
-        return ids
+        return ids.get("", -1)
 
-    def tail(self, quotient: StateQuotient, block: int) -> dict[str, int]:
-        """Shape ids of the quotient's start-level members whose subtrees reach block.
+    def class_shapes(self, quotient: StateQuotient, block: int) -> list[list[int]]:
+        """Shape ids of the quotient's classes at each length from its start through block.
 
-        Each class is interned once per length on the way up from the
-        block, so a member's id is its class's; block is at least the
-        quotient's start and at most its depth.
+        Entry [i][k] is class k of length start + i, -1 for a class with no
+        descendant at the block.  Each class is interned once per length on
+        the way up from the block; block is at least the quotient's start
+        and at most its depth.
         """
         start = quotient.start
-        # class number -> shape id, -1 for a class with no descendant at the block
         shape = [self.leaf(block)] * len(quotient.multiplicity[block - start])
+        shapes = [shape]
         for i in range(block - start - 1, -1, -1):
             level_shape = []
             for zero, one in quotient.kids[i]:
@@ -247,7 +251,9 @@ class ShapeTable:
                     -1 if left < 0 and right < 0 else self.shape(start + i, left, right)
                 )
             shape = level_shape
-        return {t: shape[k] for t, k in quotient.classes.items() if shape[k] >= 0}
+            shapes.append(shape)
+        shapes.reverse()
+        return shapes
 
     def vector(self, root: int) -> tuple[int, ...]:
         """The value of a shape id as the ring's int vector; -1 (nothing at the block) is 0."""
@@ -293,7 +299,7 @@ def htilde(marking: BlockMarking, s, n: int, want_witness: bool = True) -> Measu
     if not top:
         return _empty(n, m)
     table = ShapeTable(s, n, m)
-    root = table.climb(dict.fromkeys(top, table.leaf(m)), m)[""]
+    root = table.climb(dict.fromkeys(top, table.leaf(m)), m)
     return _value(table, root, n, m, want_witness)
 
 
@@ -313,7 +319,9 @@ def quotient_htilde(
     if m < n:
         return _case2(s, n, m)
     table = ShapeTable(s, n, m)
-    root = table.climb(table.tail(quotient, m), quotient.start).get("", -1)
+    shapes = table.class_shapes(quotient, m)[0]
+    ids = {t: shapes[k] for t, k in quotient.classes.items() if shapes[k] >= 0}
+    root = table.climb(ids, quotient.start)
     if root < 0:
         return _empty(n, m)
     return _value(table, root, n, m, want_witness)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .core import CgmtError, ParseError
+from .core import CgmtError, ParseError, shown
 from .weights import AlgebraicWeight, cap_violation
 from .trees import BlockMarking
 from .measure import MeasureBracket, MeasureValue
@@ -151,7 +151,7 @@ def certificate_from_obj(obj: dict) -> RefinementCertificate:
     try:
         dimension = Fraction(_field(obj, "dimension", str))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"malformed certificate object: dimension {obj['dimension']!r}") from exc
+        raise ParseError(f"malformed certificate object: dimension {shown(obj['dimension'])}") from exc
     lower = _field(obj, "lower", dict)
     upper = _field(obj, "upper", dict)
     witness = _field(upper, "witness", dict)

@@ -11,9 +11,10 @@ least offending mark, so its errors do not depend on set order.  grow is
 the one place levels are grown out of a membership oracle; what it grows
 is a tree by construction and is not checked again.  quotient_of_source
 grows one representative per (state, length) class instead, from the
-root or from the top level of a tree already grown; without states,
-every member is a class.  TreeSource.pruned is the one pruned ambient:
-the nodes on an infinite path.
+root or from the top level of a tree already grown, and deepen_quotient
+continues one deeper; without states, every member is a class.
+TreeSource.pruned is the one pruned ambient: the nodes on an infinite
+path.
 
 A subset inside an ambient tree is a BlockMarking too: its conditions are
 a tree shape (the constructor), membership of every mark in the ambient
@@ -227,13 +228,17 @@ class StateQuotient:
     holds, for class k of length start + i < depth, the class numbers at the
     next length of its two children, -1 for a child that is not a member.
     multiplicity[i][k] is the number of members class k stands for; a level
-    with no class is empty.
+    with no class is empty.  reps holds a representative of each class of
+    the deepest length, and held the strings the quotient stands for
+    through it, root included: deepen_quotient continues from them.
     """
 
     kids: tuple[tuple[tuple[int, int], ...], ...]
     multiplicity: tuple[tuple[int, ...], ...]
     start: int
     classes: dict[str, int]
+    reps: tuple[str, ...]
+    held: int
 
 
 def quotient_of_source(
@@ -261,7 +266,6 @@ def quotient_of_source(
         levels = (frozenset({""} if member("") else ()),)
     held = sum(map(len, levels))
     _check_budget(held, budget, depth)
-    start = len(levels) - 1
     classes: dict[str, int] = {}
     ids: dict[Hashable, int] = {}
     reps: list[str] = []
@@ -272,9 +276,23 @@ def quotient_of_source(
             reps.append(t)
             mult.append(0)
         mult[k] += 1
-    kids, multiplicity = [], [tuple(mult)]
-    for _ in range(depth - start):
-        ids = {}
+    top = StateQuotient((), (tuple(mult),), len(levels) - 1, classes, tuple(reps), held)
+    return deepen_quotient(src, top, depth, budget)
+
+
+def deepen_quotient(
+    src: TreeSource, quotient: StateQuotient, depth: int, budget: Optional[int] = None
+) -> StateQuotient:
+    """quotient, a quotient of src, continued through depth (see quotient_of_source).
+
+    Only the representatives of the deepest classes have their children
+    asked about, and the budget is checked as each level is added.
+    """
+    member, state = src.member, src.state or (lambda s: s)
+    kids, multiplicity = list(quotient.kids), list(quotient.multiplicity)
+    reps, mult, held = quotient.reps, multiplicity[-1], quotient.held
+    for _ in range(depth - quotient.start - len(kids)):
+        ids: dict[Hashable, int] = {}
         next_reps: list[str] = []
         next_mult: list[int] = []
         level_kids = []
@@ -294,8 +312,10 @@ def quotient_of_source(
         _check_budget(held, budget, depth)
         kids.append(tuple(level_kids))
         multiplicity.append(tuple(next_mult))
-        reps, mult = next_reps, next_mult
-    return StateQuotient(tuple(kids), tuple(multiplicity), start, classes)
+        reps, mult = tuple(next_reps), tuple(next_mult)
+    return StateQuotient(
+        tuple(kids), tuple(multiplicity), quotient.start, quotient.classes, tuple(reps), held
+    )
 
 
 # -- finite trees ---------------------------------------------------------------

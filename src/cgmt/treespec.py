@@ -44,7 +44,7 @@ from itertools import groupby
 from typing import Sequence
 
 from .construct import MAX_STAGES
-from .core import ParseError, check_bits, read_input
+from .core import ParseError, check_bits, read_input, shown
 from .trees import (
     BlockMarking,
     Condition1Violation,
@@ -79,11 +79,11 @@ def _parse_dyadic(text: str) -> tuple[int, int]:
     try:
         c = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad dyadic constant {text!r}") from exc
+        raise ParseError(f"bad dyadic constant {shown(text)}") from exc
     if not 0 < c <= 1:
-        raise ParseError(f"dyadic constant must be in (0, 1], got {c}")
+        raise ParseError(f"dyadic constant must be in (0, 1], got {shown(c)}")
     if c.denominator & (c.denominator - 1):
-        raise ParseError(f"dyadic constant needs a power-of-two denominator, got {c}")
+        raise ParseError(f"dyadic constant needs a power-of-two denominator, got {shown(c)}")
     k = c.denominator.bit_length() - 1
     return c.numerator, k
 
@@ -107,7 +107,7 @@ def _explicit_source(members: Sequence[str], depth: int) -> TreeSource:
     by_length = sorted(members, key=len)
     if by_length and len(by_length[-1]) > depth:
         first = next(s for s in members if len(s) > depth)
-        raise ParseError(f"member {first!r} longer than depth {depth}")
+        raise ParseError(f"member {shown(first)} longer than depth {depth}")
     for length, group in groupby(by_length, key=len):
         levels[length] = frozenset(group)
     try:
@@ -132,15 +132,15 @@ def _automatic_source(
             raise ParseError(f"state {q} needs exactly two transitions")
         for target in row:
             if not _is_int(target):
-                raise ParseError(f"state {q} transition target {target!r} is not an integer")
+                raise ParseError(f"state {q} transition target {shown(target)} is not an integer")
             if not 0 <= target < states:
-                raise ParseError(f"state {q} transition target {target!r} out of range")
+                raise ParseError(f"state {q} transition target {shown(target)} out of range")
         table.append((row[0], row[1]))
     for q in accepting:
         if not 0 <= q < states:
-            raise ParseError(f"accepting state {q} out of range")
+            raise ParseError(f"accepting state {shown(q)} out of range")
     if not 0 <= start < states:
-        raise ParseError(f"start state {start} out of range")
+        raise ParseError(f"start state {shown(start)} out of range")
 
     _check_prefix_closed(table, accepting, start)
     live = _live_states(table, accepting)
@@ -287,10 +287,10 @@ def spec_from_obj(obj: dict) -> TreeSource:
         depth = obj.get("depth")
         members = obj.get("members")
         if not _is_int(depth) or depth < 0:
-            raise ParseError(f"explicit spec needs a nonnegative integer depth, got {depth!r}")
+            raise ParseError(f"explicit spec needs a nonnegative integer depth, got {shown(depth)}")
         if depth > MAX_STAGES:
             # checked before any level is built: a level list per length is the cost
-            raise ParseError(f"explicit spec depth {depth} is past the cap {MAX_STAGES}")
+            raise ParseError(f"explicit spec depth {shown(depth)} is past the cap {MAX_STAGES}")
         if not isinstance(members, list) or not all(isinstance(s, str) for s in members):
             raise ParseError("explicit spec needs a list of member strings")
         return _explicit_source(members, depth)
@@ -303,10 +303,10 @@ def spec_from_obj(obj: dict) -> TreeSource:
             raise ParseError("automatic spec needs an accepting list of integer states")
         start = obj.get("start", 0)
         if not _is_int(start):
-            raise ParseError(f"start must be an integer, got {start!r}")
+            raise ParseError(f"start must be an integer, got {shown(start)}")
         return _automatic_source(transitions, frozenset(accepting), start)
-    shown = repr(kind) if isinstance(kind, str) else f"of type {type(kind).__name__}"
-    raise ParseError(f"unknown spec kind {shown}; expected builtin, explicit, or automatic")
+    named = shown(kind) if isinstance(kind, str) else f"of type {type(kind).__name__}"
+    raise ParseError(f"unknown spec kind {named}; expected builtin, explicit, or automatic")
 
 
 def parse_spec(path: str) -> TreeSource:

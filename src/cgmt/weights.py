@@ -36,7 +36,7 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Iterable, Optional, Union
 
-from .core import CgmtError, ParseError
+from .core import CgmtError, ParseError, shown
 
 Rationalish = Union[int, Fraction]
 
@@ -408,13 +408,13 @@ class AlgebraicWeight:
             or len(raw) != q
             or not all(isinstance(c, str) for c in raw)
         ):
-            raise ParseError(f"malformed weight object: {obj!r}")
+            raise ParseError(f"malformed weight object: {shown(obj)}")
         try:
             coeffs = tuple(Fraction(c) for c in raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"malformed weight object: {obj!r}") from exc
+            raise ParseError(f"malformed weight object: {shown(obj)}") from exc
         if AlgebraicWeight._make(q, dict(enumerate(coeffs))).coeffs != coeffs:
-            raise ParseError(f"weight object is not in canonical form: {obj!r}")
+            raise ParseError(f"weight object is not in canonical form: {shown(obj)}")
         return AlgebraicWeight(q, coeffs)
 
 

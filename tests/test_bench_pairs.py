@@ -1,6 +1,7 @@
-"""The paired-benchmark summary on synthetic numbers; nothing is run."""
+"""The paired-benchmark summary on synthetic numbers, and the two sides' exports; nothing is timed."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,25 @@ def test_single_pair_and_plan_parsing():
     ]
     with pytest.raises(SystemExit):
         bench_pairs.parse_plan(["measure"])
+
+
+def test_both_sides_are_exported_fresh(tmp_path, monkeypatch):
+    # a throwaway repository with one commit and an uncommitted edit: the
+    # edit reaches the change's copy and not the parent's, and an
+    # untracked file reaches neither
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("committed\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one"]):
+        subprocess.run(git + argv, cwd=repo, check=True, capture_output=True)
+    (repo / "src" / "a.py").write_text("edited\n")
+    (repo / "untracked.py").write_text("new\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    bench_pairs.export("HEAD", str(parent))
+    bench_pairs.export_worktree(str(change))
+    assert (parent / "src" / "a.py").read_text() == "committed\n"
+    assert (change / "src" / "a.py").read_text() == "edited\n"
+    assert not (parent / "untracked.py").exists() and not (change / "untracked.py").exists()
+    assert bench_pairs.src_digest(str(parent)) != bench_pairs.src_digest(str(change))

@@ -731,6 +731,9 @@ class TestCliExitCodes:
         (128, ("thin", "--tree", "full", "--s", "1/2", "--n", "1", "--c", "1", "--theta", "1/64")),
         (129, ("besicovitch", "--tree", "full", "--s", "1/2", "--c", "1", "--stages", "3")),
         (641, ("measure", "--tree", "dyadic(5/8)", "--s", "1/2", "--n", "1", "--depth", "9")),
+        # probes up to top level 10, whose ambient top holds 1,024 strings
+        (8191, ("extract", "--tree", "full", "--s", "1", "--n", "0", "--c", "7/10",
+                "--eps", "1/1024")),
     ])
     def test_budget_threshold(self, capsys, least, argv):
         code, out, err = run_cli(capsys, *argv, "--budget", str(least - 1))
@@ -1041,6 +1044,42 @@ class TestHostileInputFiles:
         assert code == EXIT_PARSE and out == ""
         assert err.startswith("error[3] ParseError: ") and err.count("\n") == 1
         assert len(err) < 300
+
+    # a 4,000-digit or 4,000-character field is echoed clipped, on one short line
+    @pytest.mark.parametrize("spec", [
+        {"kind": "explicit", "depth": -int("9" * 4000), "members": [""]},
+        {"kind": "explicit", "depth": int("9" * 4000), "members": [""]},
+        {"kind": "explicit", "depth": 2, "members": ["", "0", "1" * 4000]},
+        {"kind": "automatic", "transitions": [[0, 0]], "accepting": [0], "start": int("9" * 4000)},
+        {"kind": "automatic", "transitions": [[0, 0]], "accepting": [0], "start": "9" * 4000},
+        {"kind": "automatic", "transitions": [[0, int("9" * 4000)]], "accepting": [0]},
+        {"kind": "automatic", "transitions": [[0, "9" * 4000]], "accepting": [0]},
+        {"kind": "automatic", "transitions": [[0, 0]], "accepting": [int("9" * 4000)]},
+        {"kind": "builtin", "name": "dyadic(" + "9" * 4000 + ")"},
+    ], ids=["negative-depth", "depth-past-cap", "member", "start", "start-string", "target",
+            "target-string", "accepting", "dyadic"])
+    def test_long_spec_values_are_clipped(self, capsys, monkeypatch, tmp_path, spec):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run_cli(capsys, "measure", "--tree", "f", "--s", "1", "--n", "0")
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error[3] ParseError: ") and err.count("\n") == 1
+        assert "... (400" in err and len(err) < 300
+
+    @pytest.mark.parametrize("argv", [
+        ("extract", "--tree", "full", "--s", "1", "--n", "0", "--c", "1" + "0" * 4000 + "x",
+         "--eps", "1/2"),
+        ("extract", "--tree", "full", "--s", "1", "--n", "0", "--c",
+         '{"q": 1, "coeffs": ["' + "1" * 4000 + '"], "x": 0', "--eps", "1/2"),
+        ("extract", "--tree", "full", "--s", "1", "--n", "0", "--c",
+         '{"q": 1, "coeffs": ["' + "1" * 4000 + 'x"]}', "--eps", "1/2"),
+        ("measure", "--tree", "full", "--s", "1" + "0" * 4000 + "x", "--n", "0"),
+    ], ids=["constant", "weight-object-json", "weight-object", "dimension"])
+    def test_long_command_line_values_are_clipped(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error[3] ParseError: ") and err.count("\n") == 1
+        assert "characters)" in err and len(err) < 400
 
     def test_nested_weight_argument(self, capsys):
         code, out, err = run_cli(capsys, "extract", "--tree", "full", "--s", "1/2", "--n", "1",

@@ -367,17 +367,108 @@ def test_sweep_index_is_the_window_max_of_least_indices(name, s):
     assert checked >= 2
 
 
+def _dense_explicit(seed: str, depth: int) -> dict:
+    """A seeded explicit spec: below each member each child is kept with probability 0.85."""
+    rng = random.Random(seed)
+    level, members = [""], [""]
+    for _ in range(depth):
+        grown = []
+        for sigma in level:
+            kids = [sigma + bit for bit in "01" if rng.random() < 0.85]
+            grown += kids or [sigma + rng.choice("01")]
+        level = grown
+        members += grown
+    return {"kind": "explicit", "depth": depth, "members": members}
+
+
+STATELESS_SWEEP_CODES = {
+    "explicit": lambda: PiecewiseCode.root_of(spec_from_obj(_dense_explicit("sweep", 11))),
+    "explicit|1": lambda: PiecewiseCode.root_of(spec_from_obj(_dense_explicit("sweep", 11))).restricted("1"),
+}
+
+
+@pytest.mark.parametrize("name", list(STATELESS_SWEEP_CODES))
+@pytest.mark.parametrize("s", [Fraction(1, 3), HALF, Fraction(2, 3)], ids=str)
+def test_sweep_matches_materialized_markings_without_states(name, s):
+    # the oracle of test_sweep_matches_materialized_markings on a source
+    # without states, whose quotient has one class per member; its tree
+    # ends at depth 11, so a probe past it finds the ambient below target
+    rng = random.Random(f"stateless {name} {s}")
+    zc = STATELESS_SWEEP_CODES[name]()
+    assert zc.source.state is None
+    checked = 0
+    for _ in range(6):
+        n = rng.randint(0, 2)
+        n_prime = n + rng.randint(0, 2)
+        ceiling = htilde(zc.marking(n_prime + 4), s, n, want_witness=False).value
+        c = ceiling * Fraction(rng.randint(3, 8), 8)
+        eps = ceiling * Fraction(1, 1 << rng.randint(2, 5))
+        try:
+            r = interpolate_subset(zc, n_prime, s, n, c, eps)
+        except (NoStableIndex, PreconditionMeasure):
+            continue
+        checked += 1
+        m = r.top_level
+        assert r.code.top() == sweep_marking(zc, n_prime, m, r.restored, m).levels[m]
+        for block, value in r.values:
+            marking = sweep_marking(zc, n_prime, m, r.restored, block)
+            assert htilde(marking, s, n, want_witness=False).value == value
+        if r.restored > 0:
+            assert any(
+                htilde(sweep_marking(zc, n_prime, m, r.restored - 1, block), s, n).value < c
+                for block, _ in r.values
+            )
+    assert checked >= 2
+
+
+def test_probe_climbs_only_its_roots(monkeypatch):
+    # on the full tree with roots at level 2, the probes run to top level
+    # 10, a top of 1,024 strings; each evaluation hands the table's climb
+    # at most the 4 roots, and a probe that finds no index asks the
+    # source about nothing below the roots
+    asked = []
+    base = full_tree()
+    src = dataclasses.replace(base, member=lambda s: asked.append(s) or base.member(s))
+    n_prime = 2
+    climbed, probes = [], []
+    climb, probe = ShapeTable.climb, construct._probe
+
+    def counted_climb(self, ids, length):
+        if sys._getframe(1).f_globals["__name__"] == "cgmt.construct":
+            climbed[-1][1].append(len(ids))
+        return climb(self, ids, length)
+
+    def counted_probe(zc, n_prime, m, *rest):
+        climbed.append((m, []))
+        start = len(asked)
+        got = probe(zc, n_prime, m, *rest)
+        probes.append((m, got is None, max(map(len, asked[start:]), default=0)))
+        return got
+
+    monkeypatch.setattr(ShapeTable, "climb", counted_climb)
+    monkeypatch.setattr(construct, "_probe", counted_probe)
+    r = interpolate_subset(src, n_prime, 1, n_prime, Fraction(7, 10), Fraction(1, 1024))
+    monkeypatch.undo()
+    assert r.top_level >= 10 and len(r.code.top()) >= 512
+    assert all(len(r.code.level(length)) <= 1 << length for length in range(11))
+    assert any(m >= 10 for m, _ in climbed)
+    for m, sizes in climbed:
+        assert sizes and max(sizes) <= 1 << n_prime, (m, sizes)
+    missed = [(m, longest) for m, none, longest in probes if none]
+    assert missed and all(longest <= n_prime for _, longest in missed), missed
+
+
 def test_extraction_searches_each_window_once(monkeypatch):
     # a binary search per block made 183 climbs to the root here (180 of
     # them sweep steps), and an eager top cap 150 exact comparisons
     counts = {"climbs": 0, "lt": 0}
     climb, lt = ShapeTable.climb, AlgebraicWeight.__lt__
 
-    def counted_climb(self, ids, length, stop=0):
+    def counted_climb(self, ids, length):
         # htilde's own climbs come from cgmt.measure
-        if stop == 0 and sys._getframe(1).f_globals["__name__"] == "cgmt.construct":
+        if sys._getframe(1).f_globals["__name__"] == "cgmt.construct":
             counts["climbs"] += 1
-        return climb(self, ids, length, stop)
+        return climb(self, ids, length)
 
     def counted_lt(a, b):
         counts["lt"] += 1

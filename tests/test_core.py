@@ -1,7 +1,7 @@
 import pytest
 
 from cgmt import core
-from cgmt.core import CgmtError, check_bits, column, pair
+from cgmt.core import CgmtError, check_bits, column, pair, shown
 
 
 def test_pair_examples():
@@ -45,3 +45,14 @@ def test_compatible():
     assert core.compatible("01", "0110")
     assert core.compatible("", "1")
     assert not core.compatible("01", "00")
+
+
+def test_shown_clips_only_long_values():
+    # short values keep their exact repr, a 101-digit depth among them
+    for value in ("01x", 12, -3, True, 10**100, "x" * 118):
+        assert shown(value) == repr(value)
+    long = shown("1" * 4000)
+    assert long == repr("1" * 4000)[:120] + "... (4002 characters)"
+    with pytest.raises(CgmtError) as info:
+        check_bits("2" * 4000)
+    assert len(str(info.value)) < 200

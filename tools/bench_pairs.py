@@ -5,8 +5,9 @@
 
 SEEDS is a comma list of seeds or ranges, e.g. `besicovitch:1001-1010` or
 `measure:7,9`.  The parent revision (default HEAD) is exported with
-`git archive` into a temporary directory; the change is the working tree
-itself.  For each seed, `perfbench/run.py --seed N --seconds S` runs once on
+`git archive` into a temporary directory, and the change, the working
+tree's tracked files with their uncommitted edits, is copied into another,
+so that both sides run from fresh copies of the same kind.  For each seed, `perfbench/run.py --seed N --seconds S` runs once on
 each side, S being the `run_seconds` of BENCHMARK.json, the two sides
 taking turns going first, so that a slow spell of the host falls on both
 alike.  Each pair also compares the report digests of
@@ -133,6 +134,16 @@ def export(rev: str, into: str) -> None:
         tar.extractall(into)
 
 
+def export_worktree(into: str) -> None:
+    """Copy the working tree's tracked files, uncommitted edits included, into into."""
+    for path in git("ls-files", "-z").split("\0"):
+        source = os.path.join(ROOT, path)
+        if path and os.path.isfile(source):  # a tracked file deleted in the tree is left out
+            target = os.path.join(into, path)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
+
+
 def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench/run.py run in root: its result line and its first round's digests."""
     argv = [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
@@ -173,16 +184,18 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     parent_root = tempfile.mkdtemp(prefix="bench-parent-")
+    change_root = tempfile.mkdtemp(prefix="bench-change-")
     try:
         export(args.parent, parent_root)
-        sides = {"parent": parent_root, "change": ROOT}
+        export_worktree(change_root)
+        sides = {"parent": parent_root, "change": change_root}
         doc = {
             "host": {"nproc": os.cpu_count(), "python": platform.python_version()},
             "parent": {"rev": git("rev-parse", args.parent), "src_sha256": src_digest(parent_root)},
             "change": {
                 "head": git("rev-parse", "HEAD"),
                 "dirty": bool(git("status", "--porcelain", "--", "src")),
-                "src_sha256": src_digest(ROOT),
+                "src_sha256": src_digest(change_root),
             },
             "seconds": seconds,
             "workloads": {},
@@ -214,6 +227,7 @@ def main(argv=None) -> int:
             }
     finally:
         shutil.rmtree(parent_root, ignore_errors=True)
+        shutil.rmtree(change_root, ignore_errors=True)
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
