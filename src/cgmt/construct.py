@@ -298,9 +298,9 @@ class _Sweep:
     (state, length), through the deepest block of the top being tried; it
     grows a level per top.  One shape table weighs every probe's shapes.
     Per block it keeps each class's shape at every length, all of the
-    class's descendants kept, and the shape id of the whole code.  Its
-    ring serves blocks to twice the deepest block of the probe that made
-    it; a deeper probe starts a new table.
+    class's descendants kept.  Its ring serves blocks to twice the deepest
+    block of the probe that made it, so that later tops reuse the table and
+    its class shapes; a deeper probe starts a new table.
     """
 
     def __init__(self, zc: PiecewiseCode, n_prime: int, s: Fraction, n: int, window: int, budget):
@@ -323,7 +323,6 @@ class _Sweep:
             self.depth = 2 * deep
             self._table = ShapeTable(self.s, self.n, self.depth)
             self._shapes: dict[int, list[list[int]]] = {}
-            self._whole: dict[int, int] = {}
         return self._table
 
     def shapes(self, block: int) -> list[list[int]]:
@@ -331,15 +330,6 @@ class _Sweep:
         got = self._shapes.get(block)
         if got is None:
             got = self._shapes[block] = self._table.class_shapes(self.quotient, block)
-        return got
-
-    def whole(self, block: int) -> int:
-        """The shape id of the whole code at block, -1 if nothing reaches it."""
-        got = self._whole.get(block)
-        if got is None:
-            shapes = self.shapes(block)[0]
-            ids = {rho: shapes[k] for rho, k, _ in self.roots if shapes[k] >= 0}
-            got = self._whole[block] = self._table.climb(ids, self.quotient.start)
         return got
 
 
@@ -438,8 +428,6 @@ def _probe(
 
     def root_at(r: int, block: int) -> int:
         """Shape id of the sweep marking at threshold r and block, -1 if it is empty there."""
-        if r == everything:
-            return sweep.whole(block)
         got = climbed.get((r, block))
         if got is None:
             keys = keys_at(r)

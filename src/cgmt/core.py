@@ -47,18 +47,21 @@ def read_input(path: str, what: str, parse: Callable[[str], T]) -> T:
         raise ParseError(f"bad {what}: {exc}") from exc
 
 
-def shown(value, limit: int = 120) -> str:
+SHOWN_CHARS = 120
+
+
+def shown(value) -> str:
     """An outside value as an error message echoes it: a string quoted, anything else as str.
 
     A value (a spec field, a command-line constant) is echoed whole when
     it is short, a 101-digit depth among them; a longer one keeps its
-    first limit characters and says how long it was, so one bad field
-    cannot make a kilobyte-long error line.
+    first SHOWN_CHARS characters and says how long it was, so one bad
+    field cannot make a kilobyte-long error line.
     """
     text = repr(value) if isinstance(value, str) else str(value)
-    if len(text) <= limit:
+    if len(text) <= SHOWN_CHARS:
         return text
-    return f"{text[:limit]}... ({len(text)} characters)"
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
 
 
 def check_bits(s: str) -> None:

@@ -50,9 +50,9 @@ def test_single_pair_and_plan_parsing():
 
 
 def test_both_sides_are_exported_fresh(tmp_path, monkeypatch):
-    # a throwaway repository with one commit and an uncommitted edit: the
-    # edit reaches the change's copy and not the parent's, and an
-    # untracked file reaches neither
+    # a throwaway repository with one commit, an uncommitted edit and a
+    # module not yet added: both reach the change's copy and not the
+    # parent's, and an untracked file outside src/ and tools/ reaches neither
     repo = tmp_path / "repo"
     (repo / "src").mkdir(parents=True)
     (repo / "src" / "a.py").write_text("committed\n")
@@ -60,6 +60,7 @@ def test_both_sides_are_exported_fresh(tmp_path, monkeypatch):
     for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one"]):
         subprocess.run(git + argv, cwd=repo, check=True, capture_output=True)
     (repo / "src" / "a.py").write_text("edited\n")
+    (repo / "src" / "b.py").write_text("new module\n")
     (repo / "untracked.py").write_text("new\n")
     monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
     parent, change = tmp_path / "parent", tmp_path / "change"
@@ -67,5 +68,7 @@ def test_both_sides_are_exported_fresh(tmp_path, monkeypatch):
     bench_pairs.export_worktree(str(change))
     assert (parent / "src" / "a.py").read_text() == "committed\n"
     assert (change / "src" / "a.py").read_text() == "edited\n"
+    assert (change / "src" / "b.py").read_text() == "new module\n"
+    assert not (parent / "src" / "b.py").exists()
     assert not (parent / "untracked.py").exists() and not (change / "untracked.py").exists()
     assert bench_pairs.src_digest(str(parent)) != bench_pairs.src_digest(str(change))

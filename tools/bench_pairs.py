@@ -6,16 +6,18 @@
 SEEDS is a comma list of seeds or ranges, e.g. `besicovitch:1001-1010` or
 `measure:7,9`.  The parent revision (default HEAD) is exported with
 `git archive` into a temporary directory, and the change, the working
-tree's tracked files with their uncommitted edits, is copied into another,
-so that both sides run from fresh copies of the same kind.  For each seed, `perfbench/run.py --seed N --seconds S` runs once on
-each side, S being the `run_seconds` of BENCHMARK.json, the two sides
-taking turns going first, so that a slow spell of the host falls on both
-alike.  Each pair also compares the report digests of
-the two sides' first rounds.  After the pairs, each side gets one
-`--trace 1` run of each workload (its first seed) and one untimed round,
-`run_workload` of `perfbench/worker.py` in a fresh process, after which it
-reads `cgmt.weights.refinements`, the count of signs left to exact interval
-refinement (null where the code has no such counter).
+tree's tracked files with their uncommitted edits plus the files not yet
+added under src/ and tools/, is copied into another, so that both sides
+run from fresh copies of the same kind.  For each seed,
+`perfbench/run.py --seed N --seconds S` runs once on each side, S being
+the `run_seconds` of BENCHMARK.json, the two sides taking turns going
+first, so that a slow spell of the host falls on both alike.  Each pair
+also compares the report digests of the two sides' first rounds.  After
+the pairs, each side gets one `--trace 1` run of each workload (its first
+seed) and one untimed round, `run_workload` of `perfbench/worker.py` in a
+fresh process, after which it reads `cgmt.weights.refinements`, the count
+of signs left to exact interval refinement (null where the code has no
+such counter).
 
 The file holds the host (CPU count and Python version), both sides' git
 revisions and a digest of their src/, each pair's end-to-end metrics, and
@@ -135,8 +137,12 @@ def export(rev: str, into: str) -> None:
 
 
 def export_worktree(into: str) -> None:
-    """Copy the working tree's tracked files, uncommitted edits included, into into."""
-    for path in git("ls-files", "-z").split("\0"):
+    """Copy the working tree into into: its tracked files, uncommitted edits
+    included, and the files not yet added under src/ and tools/ that git
+    does not ignore, such as a new module."""
+    tracked = git("ls-files", "-z").split("\0")
+    new = git("ls-files", "-z", "--others", "--exclude-standard", "--", "src", "tools").split("\0")
+    for path in tracked + new:
         source = os.path.join(ROOT, path)
         if path and os.path.isfile(source):  # a tracked file deleted in the tree is left out
             target = os.path.join(into, path)
