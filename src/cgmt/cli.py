@@ -47,6 +47,7 @@ from .measure import (
     measure_sequence,
 )
 from .construct import (
+    DEFAULT_SEARCH_BUDGET,
     MAX_STAGES,
     DensityViolated,
     NoStableIndex,
@@ -175,9 +176,10 @@ _NONNEGATIVE = constant_in(lambda w: w.sign() >= 0, "at least 0")
 
 # below a shallower block, htilde at granularity n builds 2^((1-s)n); so --n, --n0
 # and thin's --nu take the cap that certificates and besicovitch --stages have.
-# So do the depths of measure (each --blocks value too) and lebesgue-path: both
-# build a list or table per level before any budget is checked.  baire's depth
-# takes it too: the leftmost path to it costs time quadratic in the depth
+# So do the depths of measure (each --blocks value too), which lists a block per
+# level before any budget is checked, and of lebesgue-path, which keeps a count
+# per level.  baire's depth takes it too: the leftmost path to it costs time
+# quadratic in the depth
 _STAGE_CAPPED = int_in(0, MAX_STAGES)
 
 
@@ -387,7 +389,6 @@ def _cmd_lebesgue(args) -> tuple[dict, dict, int]:
         as_weight(parse_constant(args.c)).as_fraction(),
         args.depth,
         cap=args.cap,
-        budget=args.budget,
     )
     inputs = {"tree": args.tree, "c": args.c, "depth": args.depth}
     return inputs, {"path": path}, EXIT_OK
@@ -431,11 +432,8 @@ def _cmd_baire(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_gadget(args) -> tuple[dict, dict, int]:
-    table = InjectionTable(args.table)
-    depth = args.depth if args.depth is not None else required_depth(args.kind, table)
-    gadget = build_gadget(args.kind, table, depth)
-    report = check_gadget(gadget, table)
-    inputs = {"kind": args.kind, "table": list(args.table), "depth": depth}
+    report = check_gadget(build_gadget(args.kind, InjectionTable(args.table), args.depth))
+    inputs = {"kind": args.kind, "table": list(args.table), "depth": args.depth}
     results = {
         "horizon": report.horizon,
         "rows": [{"n": n, "gadget": g, "direct": d} for n, g, d in report.rows],
@@ -547,8 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
                    type=constant_in(lambda w: w.q == 1 and w.sign() > 0 and w <= as_weight(1),
                                     "a rational in (0, 1]"))
     p.add_argument("--depth", type=_STAGE_CAPPED, required=True)
-    p.add_argument("--cap", type=int_in(0), default=None)
-    _add_budget(p)
+    # each level tried keeps an exact count as wide as the level: the default cap
+    # at the deepest --depth bounds them
+    p.add_argument("--cap", type=int_in(0, MAX_STAGES + 8), default=None,
+                   help="deepest level tried per bit (default depth + 8)")
     p.set_defaults(handler=_cmd_lebesgue)
 
     p = sub_parser("baire", "extendible string meeting every open code")
@@ -556,7 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--opens", required=True, help="JSON file: list of prefix lists")
     p.add_argument("--depth", type=_STAGE_CAPPED, required=True)
     p.add_argument("--start", default="", help="binary string of at most --depth bits")
-    p.add_argument("--cap", type=int_in(0), default=1_000_000)
+    # the candidate frontier can hold up to cap strings
+    p.add_argument("--cap", type=int_in(0, DEFAULT_SEARCH_BUDGET), default=DEFAULT_SEARCH_BUDGET,
+                   help="extendible candidates tested per open")
     p.set_defaults(handler=_cmd_baire)
 
     p = sub_parser("gadget", "build one injection-range encoding and decode it")
@@ -594,6 +596,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error(f"--stages must exceed --n0, got {args.stages} <= {args.n0}")
     if args.command == "baire" and (args.start.strip("01") or len(args.start) > args.depth):
         parser.error(f"--start must be a binary string of at most --depth bits: {shown(args.start)}")
+    if args.command == "gadget":
+        # table_values already checked what InjectionTable checks
+        need = required_depth(args.kind, InjectionTable(args.table))
+        if need > MAX_GADGET_DEPTH:
+            parser.error(f"--table needs depth {need} to decode, past {MAX_GADGET_DEPTH}")
+        if args.depth is None:
+            args.depth = need
+        elif args.depth < need:
+            parser.error(f"--depth must be at least {need} to decode --table, got {args.depth}")
     problem = _cap_violation(args)
     if problem is not None:
         parser.error(problem)

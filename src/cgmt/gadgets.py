@@ -4,8 +4,9 @@ Each builder takes a finite injection table (values f(0..H-1), pairwise
 distinct) and materializes a structure, truncated at a stated depth, whose
 membership or value behavior reveals exactly the table's range at that
 horizon.  check_gadget replays the decoding side of the construction for
-every n < H and compares it with direct range lookup; any mismatch is a
-hard failure in the report.
+every n < H, at the instance's own depth and against its own table, and
+compares it with direct range lookup; any mismatch is a hard failure in
+the report.
 
 Kinds:
 
@@ -26,7 +27,7 @@ Every equivalence here is horizon-relative on both sides: "in range"
 always means "in {f(k): k < H}".  Fidelity to the untruncated statement
 grows with depth; that gap is inherent to finite tables.
 
-Cost of each replay, at horizon H and check depth D (D >= required_depth):
+Cost of each replay, at horizon H and build depth D (D >= required_depth):
 
   marker-tree    H probes of length D, each an O(D) membership: O(H D)
   point-sequence H probes of length D, each an O(D) closed-form
@@ -179,7 +180,7 @@ def required_depth(kind: str, table: InjectionTable) -> int:
     if kind == "marker-tree":
         return max(h, 1)
     if kind == "point-sequence":
-        return max([h] + [v + 1 for v in table.values])
+        return max([h, 1] + [v + 1 for v in table.values])
     if kind == "column-tree":
         # column n first appears at string length pair(n, 0) + 1
         return pair(h - 1, 0) + 1 if h else 1
@@ -190,7 +191,7 @@ def required_depth(kind: str, table: InjectionTable) -> int:
     raise CgmtError(f"unknown gadget kind {kind!r}")
 
 
-def _marker_tree(table: InjectionTable, depth: int) -> TreeSource:
+def _marker_tree(table: InjectionTable) -> TreeSource:
     def member(sigma: str) -> bool:
         check_bits(sigma)
         first = sigma.find("1")
@@ -220,11 +221,7 @@ def _marker_tree(table: InjectionTable, depth: int) -> TreeSource:
 
 
 def _point_sequence(table: InjectionTable, depth: int) -> TreeSource:
-    bad = [v for v in table.values if v >= depth]
-    if bad:
-        raise CgmtError(
-            f"point-sequence depth {depth} hides value {max(bad)}; need depth > every table value"
-        )
+    # build_gadget has checked depth > every table value
     longest_zeros = max(table.values, default=0)
 
     def member(sigma: str) -> bool:
@@ -243,7 +240,7 @@ def _point_sequence(table: InjectionTable, depth: int) -> TreeSource:
     return TreeSource(member=member, extendible=member, name="point-sequence")
 
 
-def _column_tree(table: InjectionTable, depth: int) -> tuple[TreeSource, tuple[Callable[[str], bool], ...]]:
+def _column_tree(table: InjectionTable) -> tuple[TreeSource, tuple[Callable[[str], bool], ...]]:
     h = table.horizon
     in_range = table.range_at_horizon()
 
@@ -387,11 +384,11 @@ def build_gadget(kind: str, table: InjectionTable, depth: int) -> GadgetInstance
         raise CgmtError(f"{kind} at horizon {table.horizon} needs depth >= {need}, got {depth}")
 
     if kind == "marker-tree":
-        return GadgetInstance(kind=kind, table=table, depth=depth, source=_marker_tree(table, depth))
+        return GadgetInstance(kind=kind, table=table, depth=depth, source=_marker_tree(table))
     if kind == "point-sequence":
         return GadgetInstance(kind=kind, table=table, depth=depth, source=_point_sequence(table, depth))
     if kind == "column-tree":
-        source, opens = _column_tree(table, depth)
+        source, opens = _column_tree(table)
         return GadgetInstance(
             kind=kind,
             table=table,
@@ -411,31 +408,31 @@ def build_gadget(kind: str, table: InjectionTable, depth: int) -> GadgetInstance
     return GadgetInstance(kind=kind, table=table, depth=depth, evaluator=eval_counterexample)
 
 
-def _check_marker_tree(g: GadgetInstance, depth: int) -> tuple[tuple[int, bool, bool], ...]:
+def _check_marker_tree(g: GadgetInstance) -> tuple[tuple[int, bool, bool], ...]:
     # n is out of range iff some depth-length member extends the marker;
     # while the marker subtree is alive it is full, so the all-zero tail
     # probes it without enumeration
     rows = []
     member = g.source.member
     for n in range(g.table.horizon):
-        probe = marker(n) + "0" * (depth - n - 1)
+        probe = marker(n) + "0" * (g.depth - n - 1)
         survivor = member(probe)
         rows.append((n, not survivor, g.table.witness(n) is not None))
     return tuple(rows)
 
 
-def _check_point_sequence(g: GadgetInstance, depth: int) -> tuple[tuple[int, bool, bool], ...]:
+def _check_point_sequence(g: GadgetInstance) -> tuple[tuple[int, bool, bool], ...]:
     rows = []
     member = g.source.member
     for n in range(g.table.horizon):
-        stays = member(single_one_path(n, depth))
+        stays = member(single_one_path(n, g.depth))
         rows.append((n, stays, g.table.witness(n) is not None))
     return tuple(rows)
 
 
-def _check_column_tree(g: GadgetInstance, depth: int) -> tuple[tuple[int, bool, bool], ...]:
+def _check_column_tree(g: GadgetInstance) -> tuple[tuple[int, bool, bool], ...]:
     rows = []
-    z = g.generic_path[:depth]
+    z = g.generic_path
     check_bits(z)
     for n in range(g.table.horizon):
         verdict = _decode_column(g.table, z, n)
@@ -446,12 +443,12 @@ def _check_column_tree(g: GadgetInstance, depth: int) -> tuple[tuple[int, bool, 
     return tuple(rows)
 
 
-def _check_deficit_min(g: GadgetInstance, depth: int) -> tuple[tuple[int, bool, bool], ...]:
+def _check_deficit_min(g: GadgetInstance) -> tuple[tuple[int, bool, bool], ...]:
     # flipping position n of an all-ones string moves the weight iff n
     # was not already in the deficit set, i.e. iff n is unenumerated; depth
     # >= required_depth = max(horizon, 1), so one all-ones string holds every n
     rows = []
-    ones = "1" * depth
+    ones = "1" * g.depth
     unflipped = g.evaluator(ones)
     for n in range(g.table.horizon):
         flipped = ones[:n] + "0" + ones[n + 1 :]
@@ -461,11 +458,11 @@ def _check_deficit_min(g: GadgetInstance, depth: int) -> tuple[tuple[int, bool, 
     return tuple(rows)
 
 
-def _check_first_one_inf(g: GadgetInstance, depth: int) -> tuple[tuple[int, bool, bool], ...]:
+def _check_first_one_inf(g: GadgetInstance) -> tuple[tuple[int, bool, bool], ...]:
     # value-side check: at each probed depth d the minimum over leaves is
     # exactly 2^{-(d-1)} (attained by the last marker) yet positive
     rows = []
-    for d in range(1, min(depth, 12) + 1):
+    for d in range(1, min(g.depth, 12) + 1):
         attained = g.evaluator(marker(d - 1))
         expected = AlgebraicWeight.from_rational(Fraction(1, 1 << (d - 1)))
         floor_ok = (attained - expected).is_zero() and attained.sign() > 0
@@ -474,38 +471,29 @@ def _check_first_one_inf(g: GadgetInstance, depth: int) -> tuple[tuple[int, bool
     return tuple(rows)
 
 
-def check_gadget(g: GadgetInstance, table: InjectionTable, depth: Optional[int] = None) -> GadgetReport:
-    """Replay the decoding for every n < horizon against direct lookup.
+def check_gadget(g: GadgetInstance) -> GadgetReport:
+    """Replay the decoding at g.depth for every n < horizon against direct lookup in g.table.
 
     Each row is (n, gadget verdict, direct range membership); ok means the
-    columns agree everywhere.  depth defaults to the build depth and may
-    not exceed it (the instance holds nothing deeper).
+    columns agree everywhere.  build_gadget has checked that g.depth
+    decodes every n, so the instance is replayed as built.
     """
-    if g.table.values != table.values:
-        raise CgmtError("check_gadget: instance was built from a different table")
-    if depth is None:
-        depth = g.depth
-    if depth <= 0 or depth > g.depth:
-        raise CgmtError(f"check depth must be in 1..{g.depth}, got {depth}")
-    if depth < required_depth(g.kind, table):
-        raise CgmtError(f"{g.kind} at horizon {table.horizon} not decodable at depth {depth}")
-
     if g.kind == "marker-tree":
-        rows = _check_marker_tree(g, depth)
+        rows = _check_marker_tree(g)
     elif g.kind == "point-sequence":
-        rows = _check_point_sequence(g, depth)
+        rows = _check_point_sequence(g)
     elif g.kind == "column-tree":
-        rows = _check_column_tree(g, depth)
+        rows = _check_column_tree(g)
     elif g.kind == "deficit-min":
-        rows = _check_deficit_min(g, depth)
+        rows = _check_deficit_min(g)
     else:
-        rows = _check_first_one_inf(g, depth)
+        rows = _check_first_one_inf(g)
 
     ok = all(gv == dv for _, gv, dv in rows)
     return GadgetReport(
         kind=g.kind,
         horizon=g.table.horizon,
-        depth=depth,
+        depth=g.depth,
         rows=rows,
         ok=ok,
         stand_in=g.stand_in,

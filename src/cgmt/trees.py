@@ -71,7 +71,8 @@ class TreeSource:
     when present, answers whether the node has arbitrarily long extensions;
     operations that need it say so and fail without it.  extension_count,
     when present, gives the exact number of length-m members extending a
-    string without enumeration (deep mass computations need it).
+    string without enumeration; lebesgue_path weighs levels by these
+    counts alone and refuses a source without them.
 
     state, when present, names a hashable state of each member, and must
     keep this contract: for two members of the same length with equal

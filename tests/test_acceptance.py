@@ -271,7 +271,7 @@ def test_criterion_7_gadget_equivalences_horizon_64():
         direct = {n for n in range(64) if n in ran}
         for kind in kinds:
             g = build_gadget(kind, table, required_depth(kind, table))
-            report = check_gadget(g, table)
+            report = check_gadget(g)
             assert report.ok, (trial, kind, report.mismatches())
             assert {n for n, verdict, _ in report.rows if verdict} == direct
         # the survivor form: a string extends the marker iff n is missing

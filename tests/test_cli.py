@@ -43,6 +43,7 @@ from cgmt.cli import (
 )
 from cgmt.construct import MAX_STAGES, besicovitch_extract
 from cgmt.core import CgmtError
+from cgmt.gadgets import GADGET_KINDS
 from cgmt.report import (
     certificate_from_obj,
     certificate_obj,
@@ -856,6 +857,27 @@ class TestCliExitCodes:
         value = getattr(args, option.split("--")[1])
         assert MAX_STAGES == 16384 and value in (MAX_STAGES, [MAX_STAGES])
 
+    def test_lebesgue_false_promise_at_the_largest_cap(self, capsys):
+        # every level through the cap keeps an exact count as wide as the level
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "lebesgue-path", "--tree", "full", "--c", "1/3",
+                                 "--depth", "5", "--cap", str(MAX_STAGES + 8))
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_PROMISE and out == ""
+        assert err.startswith("error[7] ") and err.count("\n") == 1
+
+    def test_baire_cap_at_its_largest_parses(self):
+        args = build_parser().parse_args(["baire", "--tree", "full", "--opens", "opens.json",
+                                          "--depth", "3", "--cap", "1000000"])
+        assert args.cap == 1_000_000
+
+    @pytest.mark.parametrize("kind", GADGET_KINDS)
+    def test_gadget_empty_table_decodes_at_depth_1(self, capsys, kind):
+        doc = run_json(capsys, "gadget", "--kind", kind, "--table", "")
+        assert doc["inputs"]["depth"] == 1 and doc["results"]["ok"] is True
+        if kind != "first-one-inf":
+            assert doc["results"]["rows"] == []
+
     def test_usage_error_is_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["gadget", "--kind", "mystery", "--table", "1"])
@@ -884,6 +906,13 @@ class TestCliExitCodes:
         ("baire", "--tree", "full", "--opens", "opens.json", "--depth", "3", "--start", "2"),
         ("baire", "--tree", "full", "--opens", "opens.json", "--depth", "3", "--start", "0000"),
         ("verify-suite", "--n-max", "13"),
+        # least decodable depth 100,001, past the gadget depth cap
+        ("gadget", "--kind", "point-sequence", "--table", "100000"),
+        # marker-tree at horizon 2 needs depth 2
+        ("gadget", "--kind", "marker-tree", "--table", "0,1", "--depth", "1"),
+        ("lebesgue-path", "--tree", "full", "--c", "1", "--depth", "3", "--cap", "16393"),
+        ("baire", "--tree", "full", "--opens", "opens.json", "--depth", "3", "--cap", "1000001"),
+        ("lebesgue-path", "--tree", "full", "--c", "1", "--depth", "3", "--budget", "5"),
     ])
     def test_argument_out_of_range(self, capsys, argv):
         with pytest.raises(SystemExit) as info:

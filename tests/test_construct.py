@@ -886,17 +886,18 @@ def test_lebesgue_memory_is_linear_in_the_states():
     assert peak < 6 << 20, peak
 
 
-def test_lebesgue_enumerated_counts_route():
-    bare = TreeSource(member=rooted_tree("0").member, name="bare")
-    assert lebesgue_path(bare, HALF, 8) == "01111111"
-    with pytest.raises(BudgetExceeded):
-        lebesgue_path(bare, HALF, 32, budget=50)
-    # the deepest level this run asks about is 8; branch-left holds 2^8 strings through it
-    held = sum(map(len, levels_of_source(bare, 8)))
-    assert held == 256
-    assert lebesgue_path(bare, HALF, 8, budget=held) == "01111111"
-    with pytest.raises(BudgetExceeded):
-        lebesgue_path(bare, HALF, 8, budget=held - 1)
+def test_lebesgue_refuses_a_source_without_counts():
+    # level weights are closed-form counts only; nothing is grown or asked in their place
+    asked = []
+
+    def member(sigma):
+        asked.append(sigma)
+        return compatible(sigma, "0")
+
+    bare = TreeSource(member=member, name="bare")
+    with pytest.raises(CgmtError, match="^bare: no closed-form extension counts"):
+        lebesgue_path(bare, HALF, 8)
+    assert asked == []
 
 
 def test_lebesgue_rejects_bad_mass():

@@ -286,7 +286,7 @@ class TestDeficitAgainstDefinition:
     def test_check_rows_match_definition(self):
         rng = random.Random(31)
         t = random_table(rng, 256, 512)
-        report = check_gadget(build_gadget("deficit-min", t, required_depth("deficit-min", t)), t)
+        report = check_gadget(build_gadget("deficit-min", t, required_depth("deficit-min", t)))
         expected = []
         for n in range(t.horizon):
             ones = "1" * max(report.depth, n + 1)
@@ -468,7 +468,7 @@ class TestClosedFormsAgainstScans:
         for horizon in [*range(65), *self.LARGE_HORIZONS[kind]]:
             t = random_table(rng, horizon, 2 * horizon + 1)
             depth = max(required_depth(kind, t), 1)
-            report = check_gadget(build_gadget(kind, t, depth), t)
+            report = check_gadget(build_gadget(kind, t, depth))
             assert report.rows == scanned_rows(kind, t.values, depth), (kind, horizon)
             assert report.ok
 
@@ -486,7 +486,7 @@ class TestClosedFormsAgainstScans:
             calls.append(len(sigma))
             return g.evaluator(sigma)
 
-        assert check_gadget(dataclasses.replace(g, evaluator=counted), t).ok
+        assert check_gadget(dataclasses.replace(g, evaluator=counted)).ok
         assert len(calls) == t.horizon + 1
 
     def test_column_tree_checks_the_generic_path_once(self, monkeypatch):
@@ -499,7 +499,7 @@ class TestClosedFormsAgainstScans:
             core.check_bits(s)
 
         monkeypatch.setattr(gadgets, "check_bits", counted)
-        assert check_gadget(g, t).ok
+        assert check_gadget(g).ok
         assert checked == [g.depth]
 
     def test_deficit_mask_built_once_per_length(self):
@@ -518,7 +518,7 @@ class TestClosedFormsAgainstScans:
         for length in (5, 9, 5, 9, 0, 64):
             smmin_weight(t, "1" * length)
         g = build_gadget("deficit-min", t, 64)
-        assert check_gadget(g, t).ok
+        assert check_gadget(g).ok
         assert sorted(memo.stores) == [0, 5, 9, 64]
 
 
@@ -566,13 +566,13 @@ class TestBuildGadget:
         a = build_gadget("column-tree", t, 16)
         b = build_gadget("column-tree", t, 16)
         assert a.generic_path == b.generic_path
-        ra, rb = check_gadget(a, t), check_gadget(b, t)
+        ra, rb = check_gadget(a), check_gadget(b)
         assert ra.rows == rb.rows and ra.ok and rb.ok
         pa = build_gadget("point-sequence", t, 12)
         pb = build_gadget("point-sequence", t, 12)
         stems = [single_one_path(v, 12) for v in t.values]
         assert all(pa.source.member(x) and pb.source.member(x) for x in stems)
-        assert check_gadget(pa, t).rows == check_gadget(pb, t).rows
+        assert check_gadget(pa).rows == check_gadget(pb).rows
 
 
 class TestCheckGadget:
@@ -580,7 +580,7 @@ class TestCheckGadget:
         t = InjectionTable(tuple(2 * k for k in range(8)))
         for kind in ("marker-tree", "point-sequence", "column-tree", "deficit-min"):
             depth = max(required_depth(kind, t), 16)
-            report = check_gadget(build_gadget(kind, t, depth), t)
+            report = check_gadget(build_gadget(kind, t, depth))
             assert report.ok and report.mismatches() == ()
             decoded = {n for n, verdict, _ in report.rows if verdict}
             assert decoded == {0, 2, 4, 6}
@@ -589,34 +589,23 @@ class TestCheckGadget:
         t = InjectionTable(tuple(k for k in range(8)))
         for kind in ("marker-tree", "point-sequence", "column-tree", "deficit-min"):
             depth = max(required_depth(kind, t), 16)
-            report = check_gadget(build_gadget(kind, t, depth), t)
+            report = check_gadget(build_gadget(kind, t, depth))
             assert report.ok
             assert all(verdict for _, verdict, _ in report.rows)
 
     def test_empty_horizon_empty_report(self):
         t = InjectionTable(())
         for kind in ("marker-tree", "column-tree", "deficit-min"):
-            report = check_gadget(build_gadget(kind, t, 4), t)
+            report = check_gadget(build_gadget(kind, t, 4))
             assert report.ok and report.rows == ()
 
-    def test_wrong_table_rejected(self):
-        g = build_gadget("marker-tree", EVENS10, 10)
-        with pytest.raises(CgmtError, match="different table"):
-            check_gadget(g, IDENT10)
-
-    def test_check_depth_capped_by_build_depth(self):
-        g = build_gadget("marker-tree", EVENS10, 12)
-        with pytest.raises(CgmtError, match="depth"):
-            check_gadget(g, EVENS10, depth=13)
-        assert check_gadget(g, EVENS10, depth=10).ok
-
     def test_first_one_inf_report(self):
-        report = check_gadget(build_gadget("first-one-inf", EVENS10, 20), EVENS10)
+        report = check_gadget(build_gadget("first-one-inf", EVENS10, 20))
         assert report.ok and len(report.rows) == 12
 
     def test_column_tree_names_stand_in(self):
         t = InjectionTable((1, 2, 5, 8))
-        report = check_gadget(build_gadget("column-tree", t, 16), t)
+        report = check_gadget(build_gadget("column-tree", t, 16))
         assert "closed-form" in report.stand_in
 
     def test_mismatch_listing(self):
@@ -636,7 +625,7 @@ class TestLargeHorizon:
         t = InjectionTable(tuple(rng.sample(range(200), 64)))
         for kind in ("marker-tree", "point-sequence", "column-tree", "deficit-min"):
             depth = required_depth(kind, t)
-            report = check_gadget(build_gadget(kind, t, depth), t)
+            report = check_gadget(build_gadget(kind, t, depth))
             assert report.ok, f"{kind} mismatches: {report.mismatches()}"
 
     def test_column_tree_depth_formula(self):
